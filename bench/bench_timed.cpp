@@ -62,8 +62,7 @@ struct Config {
 };
 
 /// The (backend, p) pairs every case family runs under. Serial/p1 is the
-/// single-core anchor; the first scaling backend (Pool, or OpenMP when it
-/// leads the build's list) at a fixed p=4 keeps case names stable across
+/// single-core anchor; Pool at a fixed p=4 keeps case names stable across
 /// hosts — p beyond the core count just oversubscribes, which the host
 /// fingerprint in `meta` lets a reader discount.
 struct Lane {
@@ -71,12 +70,7 @@ struct Lane {
   int threads;
 };
 
-std::vector<Lane> lanes() {
-  std::vector<Lane> out{{par::Backend::Serial, 1}};
-  const auto scaling = bench::scaling_backends();
-  if (!scaling.empty()) out.push_back({scaling.front(), 4});
-  return out;
-}
+std::vector<Lane> lanes() { return {{par::Backend::Serial, 1}, {par::Backend::Pool, 4}}; }
 
 std::string lane_suffix(const Lane& ln) {
   return std::string("/") + par::backend_name(ln.backend) + "/p" + std::to_string(ln.threads);

@@ -20,15 +20,6 @@ inline bool large() {
   return v && std::string(v) == "1";
 }
 
-/// The backends whose p-scaling is worth tabulating (Serial scales by
-/// definition not at all; benches add it as an explicit baseline row
-/// where useful).
-inline std::vector<par::Backend> scaling_backends() {
-  std::vector<par::Backend> out = par::available_backends();
-  std::erase(out, par::Backend::Serial);
-  return out;
-}
-
 inline Terrain make(Family f, u32 grid, u64 seed = 1, double spike_density = 0.05) {
   GenOptions opt;
   opt.family = f;

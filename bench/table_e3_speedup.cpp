@@ -28,18 +28,16 @@ int main() {
              ms(r.stats.phase1_s), ms(r.stats.phase2_s), ms(r.stats.total_s),
              Table::num(1.0, 2), Table::num(static_cast<long long>(r.stats.work.total()))});
     }
-    for (const par::Backend b : scaling_backends()) {
-      double base = 0;
-      for (int p = 1; p <= pmax; p *= 2) {
-        const HsrResult r = solve_median3(
-            terr, {.algorithm = Algorithm::Parallel, .threads = p, .backend = b});
-        if (p == 1) base = r.stats.total_s;
-        t.row({Table::num(static_cast<long long>(g)),
-               Table::num(static_cast<long long>(r.stats.n_edges)), par::backend_name(b),
-               Table::num(static_cast<long long>(p)), ms(r.stats.phase1_s),
-               ms(r.stats.phase2_s), ms(r.stats.total_s), Table::num(base / r.stats.total_s, 2),
-               Table::num(static_cast<long long>(r.stats.work.total()))});
-      }
+    double base = 0;
+    for (int p = 1; p <= pmax; p *= 2) {
+      const HsrResult r = solve_median3(
+          terr, {.algorithm = Algorithm::Parallel, .threads = p, .backend = par::Backend::Pool});
+      if (p == 1) base = r.stats.total_s;
+      t.row({Table::num(static_cast<long long>(g)),
+             Table::num(static_cast<long long>(r.stats.n_edges)), "pool",
+             Table::num(static_cast<long long>(p)), ms(r.stats.phase1_s), ms(r.stats.phase2_s),
+             ms(r.stats.total_s), Table::num(base / r.stats.total_s, 2),
+             Table::num(static_cast<long long>(r.stats.work.total()))});
     }
   }
   t.print_markdown(std::cout);

@@ -49,7 +49,7 @@ template <bool Leftmost>
 std::optional<CrossHit> HullTree::search(std::size_t node, const Seg2& s, const QY& from,
                                          const QY& to) const {
   const Node& n = nodes_[node];
-  ++visited_;
+  visited_.fetch_add(1, std::memory_order_relaxed);
   work::count(Op::OracleStep);
   const EnvPiece& first = env_->piece(n.lo);
   const EnvPiece& last = env_->piece(n.hi - 1);

@@ -18,6 +18,7 @@
 /// underlying data-structure is static although it has to be rebuilt a
 /// (small) number of times".
 
+#include <atomic>
 #include <optional>
 
 #include "envelope/envelope.hpp"
@@ -44,9 +45,10 @@ class HullTree {
 
   std::size_t size() const noexcept { return env_->size(); }
 
-  /// Tree nodes visited by queries since construction (instrumentation).
-  u64 nodes_visited() const noexcept { return visited_; }
-  void reset_stats() const noexcept { visited_ = 0; }
+  /// Tree nodes visited by queries since construction (instrumentation;
+  /// atomic because all_crossings_split queries one tree from many workers).
+  u64 nodes_visited() const noexcept { return visited_.load(std::memory_order_relaxed); }
+  void reset_stats() const noexcept { visited_.store(0, std::memory_order_relaxed); }
 
  private:
   struct Node {
@@ -65,7 +67,7 @@ class HullTree {
   std::span<const Seg2> segs_;
   std::vector<Node> nodes_;
   std::size_t root_{0};
-  mutable u64 visited_{0};
+  mutable std::atomic<u64> visited_{0};
 };
 
 }  // namespace thsr

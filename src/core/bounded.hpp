@@ -20,8 +20,9 @@
 /// object-space map is governed purely by y-extent. The z resolution never
 /// enters the pruning decision.
 
+#include <stdexcept>
+
 #include "geometry/exactq.hpp"
-#include "support/check.hpp"
 
 namespace thsr {
 
@@ -47,7 +48,9 @@ struct PixelBudget {
 };
 
 /// Exact pruning predicate for one budget. Stateless beyond the budget; a
-/// single instance is shared read-only by every thread of a solve.
+/// single instance is shared read-only by every thread of a solve. The
+/// budget arrives from callers (e.g. a QueryServer query), so a malformed
+/// one throws std::invalid_argument rather than aborting.
 ///
 /// Width analysis (DESIGN.md section 1.12). Sample i sits at s_i = y_lo +
 /// (2i+1)E/D with E = y_hi - y_lo <= 2^23 and D = 2*y_samples <= 2^13. For a
@@ -61,11 +64,7 @@ struct PixelBudget {
 class BoundedPrune {
  public:
   explicit BoundedPrune(const PixelBudget& b)
-      : y_lo_(b.y_lo), extent_(b.y_hi - b.y_lo), n_(b.y_samples) {
-    THSR_CHECK(b.y_lo < b.y_hi);
-    THSR_CHECK(b.y_samples >= 1 && b.y_samples <= kMaxBudgetSamples);
-    THSR_CHECK(b.y_lo >= -2 * kMaxCoord && b.y_hi <= 2 * kMaxCoord);
-  }
+      : y_lo_(b.y_lo), extent_(checked_extent(b)), n_(b.y_samples) {}
 
   PixelBudget budget() const noexcept { return PixelBudget{y_lo_, y_lo_ + extent_, n_}; }
 
@@ -89,6 +88,18 @@ class BoundedPrune {
   }
 
  private:
+  /// Validates `b` (before any arithmetic on it) and returns y_hi - y_lo.
+  static i64 checked_extent(const PixelBudget& b) {
+    if (!(b.y_lo < b.y_hi)) throw std::invalid_argument("PixelBudget: requires y_lo < y_hi");
+    if (b.y_samples < 1 || b.y_samples > kMaxBudgetSamples) {
+      throw std::invalid_argument("PixelBudget: y_samples must be in [1, kMaxBudgetSamples]");
+    }
+    if (b.y_lo < -2 * kMaxCoord || b.y_hi > 2 * kMaxCoord) {
+      throw std::invalid_argument("PixelBudget: window exceeds 2*kMaxCoord");
+    }
+    return b.y_hi - b.y_lo;
+  }
+
   i64 y_lo_;    ///< window west bound
   i64 extent_;  ///< E = y_hi - y_lo > 0
   u32 n_;       ///< sample count, D = 2n

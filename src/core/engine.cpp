@@ -206,9 +206,6 @@ HsrResult HsrEngine::solve(const HsrOptions& opt) {
   Impl& im = *impl_;
   THSR_CHECK(im.prepared);
   const par::ScopedConfig cfg(opt.threads, opt.backend);
-  // Contract: an explicitly requested backend must exist in this build —
-  // silently running on a different executor would defeat the request.
-  if (opt.backend) THSR_CHECK(cfg.backend_applied());
   work::reset();
   return solve_on(im.ctx, im.ws, im.prepare_work, im.order_s, opt, /*thread_scope=*/false);
 }

@@ -16,9 +16,8 @@
 ///                 substrate, PCT phase 1 (intermediate envelopes), PCT
 ///                 phase 2 (systolic prefix merging over persistent profile
 ///                 versions). Work O((n+k)·polylog n), span polylog; realized
-///                 on a runtime-selectable fork-join backend — serial,
-///                 OpenMP, or the native work-stealing pool (DESIGN.md
-///                 section 1.1).
+///                 on the native work-stealing fork-join pool, or serially
+///                 (runtime-selectable backend, DESIGN.md section 1.1).
 ///
 /// Example:
 /// \code
@@ -112,7 +111,8 @@ struct HsrResult {
 /// \param opt algorithm / oracle / executor selection (see HsrOptions)
 /// \return the exact visibility map plus per-run statistics; identical —
 ///         bit for bit — for every algorithm, backend, and thread count
-/// \throws std::bad_alloc only; invalid options trip THSR_CHECK.
+/// \throws std::invalid_argument when `opt.pixel_budget` is malformed (see
+///         PixelBudget); std::bad_alloc. Other invalid options trip THSR_CHECK.
 /// Work O((n+k)·polylog n) for the output-sensitive algorithms
 /// (DESIGN.md section 2); wall clock additionally divides by p on the
 /// parallel path (Theorem 3.1's /p term).

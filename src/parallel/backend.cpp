@@ -12,26 +12,14 @@ namespace {
 std::atomic<int> g_threads{0};   // 0 = not set yet: use hardware default
 std::atomic<int> g_backend{-1};  // -1 = not resolved yet; else int(Backend)
 
-Backend default_backend() noexcept {
-#ifdef THSR_HAVE_OPENMP
-  return Backend::OpenMP;
-#else
-  return Backend::Pool;
-#endif
-}
-
 Backend resolve_backend() noexcept {
   if (const char* env = std::getenv("THSR_BACKEND")) {
-    if (const auto b = parse_backend(env)) {
-      if (backend_available(*b)) return *b;
-      std::fprintf(stderr, "thsr: THSR_BACKEND=%s is not available in this build; using %s\n",
-                   env, backend_name(default_backend()));
-    } else if (env[0] != '\0') {
-      std::fprintf(stderr, "thsr: unknown THSR_BACKEND=%s (serial|openmp|pool); using %s\n",
-                   env, backend_name(default_backend()));
+    if (const auto b = parse_backend(env)) return *b;
+    if (env[0] != '\0') {
+      std::fprintf(stderr, "thsr: unknown THSR_BACKEND=%s (serial|pool); using pool\n", env);
     }
   }
-  return default_backend();
+  return Backend::Pool;
 }
 
 }  // namespace
@@ -47,30 +35,13 @@ Backend backend() noexcept {
   return static_cast<Backend>(b);
 }
 
-bool set_backend(Backend b) noexcept {
-  if (!backend_available(b)) return false;
+void set_backend(Backend b) noexcept {
   g_backend.store(static_cast<int>(b), std::memory_order_release);
-  return true;
-}
-
-bool backend_available(Backend b) noexcept {
-  switch (b) {
-    case Backend::Serial:
-    case Backend::Pool: return true;
-    case Backend::OpenMP:
-#ifdef THSR_HAVE_OPENMP
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
 }
 
 const char* backend_name(Backend b) noexcept {
   switch (b) {
     case Backend::Serial: return "serial";
-    case Backend::OpenMP: return "openmp";
     case Backend::Pool: return "pool";
   }
   return "?";
@@ -78,16 +49,11 @@ const char* backend_name(Backend b) noexcept {
 
 std::optional<Backend> parse_backend(std::string_view name) noexcept {
   if (name == "serial") return Backend::Serial;
-  if (name == "openmp") return Backend::OpenMP;
   if (name == "pool") return Backend::Pool;
   return std::nullopt;
 }
 
-std::vector<Backend> available_backends() {
-  std::vector<Backend> out{Backend::Serial, Backend::Pool};
-  if (backend_available(Backend::OpenMP)) out.push_back(Backend::OpenMP);
-  return out;
-}
+std::vector<Backend> available_backends() { return {Backend::Serial, Backend::Pool}; }
 
 namespace {
 thread_local int t_serial_depth = 0;
@@ -98,9 +64,6 @@ thread_local int t_serial_depth = 0;
 int configured_threads() noexcept {
   const int p = g_threads.load(std::memory_order_relaxed);
   if (p > 0) return p;
-#ifdef THSR_HAVE_OPENMP
-  if (backend() == Backend::OpenMP) return omp_get_max_threads();
-#endif
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
@@ -118,8 +81,8 @@ ScopedConfig::ScopedConfig(int threads, std::optional<Backend> b) noexcept
     restore_threads_ = true;
   }
   if (b) {
-    backend_ok_ = set_backend(*b);
-    restore_backend_ = backend_ok_;
+    set_backend(*b);
+    restore_backend_ = true;
   }
 }
 
@@ -130,40 +93,10 @@ ScopedConfig::~ScopedConfig() {
 
 int max_threads() noexcept { return serial_forced() ? 1 : configured_threads(); }
 
-void set_threads(int p) noexcept {
-  p = std::max(1, p);
-  g_threads.store(p, std::memory_order_relaxed);
-#ifdef THSR_HAVE_OPENMP
-  omp_set_num_threads(p);
-#endif
-}
+void set_threads(int p) noexcept { g_threads.store(std::max(1, p), std::memory_order_relaxed); }
 
-bool in_parallel() noexcept {
-  switch (backend()) {
-    case Backend::OpenMP:
-#ifdef THSR_HAVE_OPENMP
-      return omp_in_parallel();
-#else
-      return false;
-#endif
-    case Backend::Pool: return pool::on_worker();
-    case Backend::Serial: return false;
-  }
-  return false;
-}
+bool in_parallel() noexcept { return pool::on_worker(); }
 
-int worker_index() noexcept {
-  switch (backend()) {
-    case Backend::OpenMP:
-#ifdef THSR_HAVE_OPENMP
-      return omp_get_thread_num();
-#else
-      return 0;
-#endif
-    case Backend::Pool: return std::max(0, pool::worker_id());
-    case Backend::Serial: return 0;
-  }
-  return 0;
-}
+int worker_index() noexcept { return std::max(0, pool::worker_id()); }
 
 }  // namespace thsr::par

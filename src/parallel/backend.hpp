@@ -1,6 +1,6 @@
 #pragma once
 /// \file backend.hpp
-/// Shared-memory fork-join backend: the repo's realization of the CREW PRAM.
+/// Shared-memory fork-join executor: the repo's realization of the CREW PRAM.
 ///
 /// A CREW PRAM step "for all i in parallel do f(i)" maps to parallel_for;
 /// recursive divide-and-conquer maps to fork_join inside run_root_task.
@@ -8,13 +8,11 @@
 /// (the CREW discipline); writes are always to thread-private or freshly
 /// allocated state.
 ///
-/// The executor behind these primitives is chosen *at runtime* (DESIGN.md
-/// section 1.1): `Backend::Serial` runs everything inline, `Backend::OpenMP`
-/// maps onto OpenMP parallel regions and tasks (when compiled in), and
-/// `Backend::Pool` runs on the library's own work-stealing fork-join pool
-/// (src/parallel/pool.hpp) — so builds without OpenMP still get real
-/// parallel speedup. All backends execute the identical operation set in
-/// the identical reduction structure; only placement differs, which is why
+/// The backend is chosen *at runtime* (DESIGN.md section 1.1):
+/// `Backend::Serial` runs everything inline, and `Backend::Pool` runs on
+/// the library's work-stealing fork-join pool (src/parallel/pool.hpp), the
+/// one parallel executor. Both execute the identical operation set in the
+/// identical reduction structure; only placement differs, which is why
 /// results are bit-identical and the work_depth counters agree exactly
 /// across backends and thread counts (asserted by the determinism tests).
 
@@ -29,41 +27,33 @@
 #include "geometry/exactq.hpp"
 #include "parallel/pool.hpp"
 
-#ifdef THSR_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 namespace thsr::par {
 
 /// Which executor realizes the PRAM primitives.
 enum class Backend {
-  Serial,  ///< inline execution on the calling thread (always available)
-  OpenMP,  ///< OpenMP parallel-for + tasks (available iff THSR_HAVE_OPENMP)
-  Pool,    ///< native work-stealing fork-join pool (always available)
+  Serial,  ///< inline execution on the calling thread
+  Pool,    ///< native work-stealing fork-join pool
 };
 
 /// The backend subsequent parallel regions will use. Resolved on first use
-/// from the THSR_BACKEND environment variable ("serial" | "openmp" |
-/// "pool"); default: OpenMP when compiled in, else Pool.
+/// from the THSR_BACKEND environment variable ("serial" | "pool");
+/// default: Pool.
 Backend backend() noexcept;
 
-/// Select the backend. Returns false (and changes nothing) when `b` is not
-/// available in this build.
-bool set_backend(Backend b) noexcept;
-
-/// True when `b` can be selected in this build.
-bool backend_available(Backend b) noexcept;
+/// Select the backend for subsequent parallel regions.
+void set_backend(Backend b) noexcept;
 
 const char* backend_name(Backend b) noexcept;
 
-/// Parse "serial" / "openmp" / "pool" (exact match) into a Backend.
+/// Parse "serial" / "pool" (exact match) into a Backend.
 std::optional<Backend> parse_backend(std::string_view name) noexcept;
 
-/// The backends selectable in this build, in {Serial, Pool[, OpenMP]}
-/// order. The one authoritative list for tests and benches.
+/// Every backend, {Serial, Pool}: the one authoritative list for tests and
+/// benches.
 std::vector<Backend> available_backends();
 
-/// Number of workers the next parallel region will use.
+/// Number of workers the next parallel region will use: the set_threads
+/// value, else std::thread::hardware_concurrency(); 1 in a SerialRegion.
 int max_threads() noexcept;
 
 /// Set the worker count for subsequent parallel regions (1 = serial).
@@ -80,16 +70,11 @@ class ScopedConfig {
   ScopedConfig(const ScopedConfig&) = delete;
   ScopedConfig& operator=(const ScopedConfig&) = delete;
 
-  /// False when a requested backend is unavailable in this build (nothing
-  /// was changed); callers decide whether that is an error.
-  bool backend_applied() const noexcept { return backend_ok_; }
-
  private:
   int prev_threads_{0};
   Backend prev_backend_{Backend::Serial};
   bool restore_threads_{false};
   bool restore_backend_{false};
-  bool backend_ok_{true};
 };
 
 /// True while the calling thread is inside a SerialRegion: every parallel
@@ -137,16 +122,17 @@ void mine_tree(int k, M& mine) {
 }
 
 /// Dynamic-chunk loop on the pool: max_threads() miners drain a shared
-/// iteration counter in chunks — the pool's analogue of OpenMP's
-/// schedule(dynamic) processor allocation (slow-down Lemma 2.1). A
-/// non-zero `chunk` fixes the chunk size exactly (the task allocator uses
-/// this to emulate specific schedules); 0 derives it from `grain` and n.
+/// iteration counter in chunks — the pool's realization of the paper's
+/// processor allocation (slow-down Lemma 2.1). The chunk is
+/// clamp(n / 8p, 1, 16): at most 16, so one contended fetch_add covers 16
+/// iterations of a large loop, and small enough that a loop of a few
+/// coarse items (e.g. 16 envelope-merge strips) still spreads over every
+/// worker. A non-zero `chunk` fixes the size exactly (the task allocator
+/// uses this to emulate specific schedules).
 template <typename F>
-void pool_parallel_for(i64 n, F& f, i64 grain, i64 chunk = 0) {
+void pool_parallel_for(i64 n, F& f, i64 chunk = 0) {
   const int p = max_threads();
-  if (chunk <= 0) {
-    chunk = std::max<i64>(1, std::min<i64>(std::max<i64>(1, grain), n / (8 * p) + 1));
-  }
+  if (chunk <= 0) chunk = std::clamp<i64>(n / (8 * p), 1, 16);
   std::atomic<i64> next{0};
   auto mine = [&] {
     for (;;) {
@@ -164,69 +150,35 @@ void pool_parallel_for(i64 n, F& f, i64 grain, i64 chunk = 0) {
 
 }  // namespace detail
 
-/// PRAM-style "in parallel for all i in [0, n)". Dynamic schedule: the
-/// practical counterpart of the paper's processor-allocation step
-/// (slow-down Lemma 2.1); measured in bench table_e9_slowdown.
+/// PRAM-style "in parallel for all i in [0, n)" with a dynamic schedule:
+/// the practical counterpart of the paper's processor-allocation step
+/// (slow-down Lemma 2.1); measured in bench table_e9_slowdown. Loops of at
+/// most `grain` iterations run inline.
 template <typename F>
 void parallel_for(i64 n, F&& f, i64 grain = 256) {
-  if (n > grain && max_threads() > 1) {
-    switch (backend()) {
-      case Backend::OpenMP:
-#ifdef THSR_HAVE_OPENMP
-        if (!omp_in_parallel()) {
-#pragma omp parallel for schedule(dynamic, 16)
-          for (i64 i = 0; i < n; ++i) f(i);
-          return;
-        }
-#endif
-        break;
-      case Backend::Pool:
-        if (!pool::on_worker()) {
-          detail::pool_parallel_for(n, f, grain);
-          return;
-        }
-        break;
-      case Backend::Serial: break;
-    }
+  if (n > grain && max_threads() > 1 && backend() == Backend::Pool && !pool::on_worker()) {
+    detail::pool_parallel_for(n, f);
+    return;
   }
-  (void)grain;
   for (i64 i = 0; i < n; ++i) f(i);
 }
 
 /// Run `f` as the root of a task tree (opens one parallel region).
 template <typename F>
 void run_root_task(F&& f) {
-  if (max_threads() > 1) {
-    switch (backend()) {
-      case Backend::OpenMP:
-#ifdef THSR_HAVE_OPENMP
-        if (!omp_in_parallel()) {
-#pragma omp parallel
-#pragma omp single nowait
-          { f(); }
-          return;
-        }
-#endif
-        break;
-      case Backend::Pool:
-        if (!pool::on_worker()) {
-          auto root = [&] { f(); };
-          pool::Closure<decltype(root)> task(std::move(root));
-          pool::run_root(&task, max_threads());
-          return;
-        }
-        break;
-      case Backend::Serial: break;
-    }
+  if (max_threads() > 1 && backend() == Backend::Pool && !pool::on_worker()) {
+    auto root = [&] { f(); };
+    pool::Closure<decltype(root)> task(std::move(root));
+    pool::run_root(&task, max_threads());
+    return;
   }
   f();
 }
 
 namespace detail {
 
-/// Recursive binary split of [lo, hi): distributes items on every backend
-/// (OpenMP tasks, pool stealing) without tying the split to a schedule
-/// chunk size.
+/// Recursive binary split of [lo, hi): distributes items by pool stealing
+/// without tying the split to a schedule chunk size.
 template <typename F>
 void fan_items_tree(std::size_t lo, std::size_t hi, F& item);
 
@@ -240,7 +192,7 @@ void fan_items_tree(std::size_t lo, std::size_t hi, F& item);
 /// Unlike parallel_for there is no chunking: n is small and items are
 /// coarse. Opens its own root region; degrades to a plain loop when n <= 1,
 /// a single worker is configured, or the caller is already inside a
-/// parallel region (nested regions would deadlock the pool's root entry).
+/// parallel region.
 template <typename F>
 void fan_items(std::size_t n, F&& f) {
   if (n <= 1 || max_threads() <= 1 || in_parallel()) {
@@ -254,33 +206,14 @@ void fan_items(std::size_t n, F&& f) {
 /// Must be called (transitively) from run_root_task for parallelism to occur.
 template <typename A, typename B>
 void fork_join(A&& a, B&& b, bool parallel_ok = true) {
-  if (parallel_ok && !serial_forced()) {
-    switch (backend()) {
-      case Backend::OpenMP:
-#ifdef THSR_HAVE_OPENMP
-        if (omp_in_parallel()) {
-#pragma omp task default(shared) untied
-          { a(); }
-          b();
-#pragma omp taskwait
-          return;
-        }
-#endif
-        break;
-      case Backend::Pool:
-        if (pool::on_worker()) {
-          auto left = [&] { a(); };
-          pool::Closure<decltype(left)> task(std::move(left));
-          pool::push(&task);
-          b();
-          pool::join(&task);
-          return;
-        }
-        break;
-      case Backend::Serial: break;
-    }
+  if (parallel_ok && !serial_forced() && pool::on_worker()) {
+    auto left = [&] { a(); };
+    pool::Closure<decltype(left)> task(std::move(left));
+    pool::push(&task);
+    b();
+    pool::join(&task);
+    return;
   }
-  (void)parallel_ok;
   a();
   b();
 }

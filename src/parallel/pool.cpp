@@ -1,6 +1,5 @@
 #include "parallel/pool.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -14,6 +13,15 @@ namespace thsr::par::pool {
 namespace {
 
 constexpr std::size_t kCacheLine = 64;
+
+/// How long an idle pool thread keeps polling for work, yielding between
+/// polls, after its last task or the last root start/end before it parks.
+/// It covers the serial gaps between the many short roots of one solve,
+/// so each root finds its workers awake instead of paying a wakeup.
+constexpr auto kIdleSpin = std::chrono::milliseconds(5);
+
+/// Park length of a worker whose spin ran out while a root is in flight.
+constexpr auto kRootPark = std::chrono::microseconds(200);
 
 /// Chase–Lev work-stealing deque of Task*. The owning worker pushes and
 /// pops at the bottom; thieves take from the top. This is the classic
@@ -110,6 +118,8 @@ class Deque {
   std::vector<Array*> retired_;  // owner-only, freed with the deque
 };
 
+/// One worker slot. Slots 1..p-1 each own a pool thread; slot 0 is the
+/// caller slot, whose deque belongs to whichever external caller holds it.
 struct Worker {
   Deque deque;
   std::thread thread;
@@ -118,20 +128,25 @@ struct Worker {
 thread_local int tl_worker_id = -1;
 
 struct Pool {
-  // Two locks with distinct jobs: lifecycle_mu serializes resize/shutdown
-  // end to end (held across worker joins — never taken by workers), while
-  // mu only guards the sleep condition (taken by workers in cv.wait, so it
-  // must NOT be held while joining them).
+  // lifecycle_mu serializes resize/shutdown end to end (held across worker
+  // joins — never taken by workers); mu only guards sleeping and root
+  // completion (taken by workers in wait, so it must NOT be held while
+  // joining them).
   std::mutex lifecycle_mu;
   std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::unique_ptr<Worker>> workers;  // stable pointers
+  std::condition_variable wake;  // parked workers: a root started, or stopping
+  std::condition_variable done;  // injected roots' callers: a root finished
+  std::vector<std::unique_ptr<Worker>> workers;  // stable pointers; [0] = caller slot
   std::atomic<int> n_workers{0};
   std::atomic<int> active_roots{0};
+  std::atomic<u64> root_events{0};  // bumped when a root starts or ends
+  std::atomic<int> sleepers{0};     // workers inside park()
+  std::atomic<bool> resizing{false};
+  std::atomic<bool> caller_slot_taken{false};
   std::atomic<bool> stopping{false};
   bool dead{false};  // set at static destruction; guarded by lifecycle_mu
   std::mutex inject_mu;
-  std::vector<Task*> inject;        // FIFO of externally submitted roots
+  std::vector<Task*> inject;        // FIFO of roots from concurrent callers
   std::atomic<int> inject_size{0};  // lock-free emptiness check for find_task
 
   static Pool& get() {
@@ -151,32 +166,66 @@ struct Pool {
     if (workers.empty()) return;
     stopping.store(true, std::memory_order_seq_cst);
     {
-      std::lock_guard<std::mutex> lk(mu);  // pair with the cv.wait predicate
+      std::lock_guard<std::mutex> lk(mu);  // pair with the wake.wait predicate
     }
-    cv.notify_all();
-    for (auto& w : workers) w->thread.join();
+    wake.notify_all();
+    for (auto& w : workers) {
+      if (w->thread.joinable()) w->thread.join();
+    }
     workers.clear();
     n_workers.store(0, std::memory_order_seq_cst);
     stopping.store(false, std::memory_order_seq_cst);
   }
 
-  /// Returns true when the pool is running some workers on exit (usually
-  /// `want`; an older size when a resize is deferred because roots are in
-  /// flight). False only once the pool is dead or want could not be met.
-  bool ensure_workers(int want) {
-    if (n_workers.load(std::memory_order_acquire) == want) return true;
-    std::lock_guard<std::mutex> lk(lifecycle_mu);
-    if (dead) return false;
-    if (static_cast<int>(workers.size()) == want) return true;
-    if (active_roots.load(std::memory_order_acquire) > 0) return !workers.empty();
-    stop_workers_locked();
-    workers.reserve(static_cast<std::size_t>(want));
-    for (int i = 0; i < want; ++i) workers.push_back(std::make_unique<Worker>());
-    n_workers.store(want, std::memory_order_seq_cst);
-    for (int i = 0; i < want; ++i) {
-      workers[static_cast<std::size_t>(i)]->thread = std::thread([this, i] { worker_main(i); });
+  /// Requires lifecycle_mu. Rebuilds the pool at `want` workers, unless a
+  /// root is in flight: then the resize is deferred to a later quiet root.
+  void resize_locked(int want) {
+    if (static_cast<int>(workers.size()) == want) return;
+    resizing.store(true, std::memory_order_seq_cst);
+    if (active_roots.load(std::memory_order_seq_cst) == 0) {
+      stop_workers_locked();
+      workers.reserve(static_cast<std::size_t>(want));
+      for (int i = 0; i < want; ++i) workers.push_back(std::make_unique<Worker>());
+      n_workers.store(want, std::memory_order_seq_cst);
+      for (int i = 1; i < want; ++i) {
+        workers[static_cast<std::size_t>(i)]->thread = std::thread([this, i] { worker_main(i); });
+      }
+    }
+    resizing.store(false, std::memory_order_seq_cst);
+  }
+
+  /// Registers a root in flight, resizing the pool to `want` workers first
+  /// when none is. False once the pool is dead.
+  bool enter(int want) {
+    for (;;) {
+      if (n_workers.load(std::memory_order_acquire) != want) {
+        std::lock_guard<std::mutex> lk(lifecycle_mu);
+        if (dead) return false;
+        resize_locked(want);
+      }
+      // Dekker pair with resize_locked (all seq_cst): either the resize
+      // sees this root and defers, or this root sees the resize and waits
+      // it out on lifecycle_mu before trying again.
+      active_roots.fetch_add(1, std::memory_order_seq_cst);
+      if (!resizing.load(std::memory_order_seq_cst)) break;
+      active_roots.fetch_sub(1, std::memory_order_seq_cst);
+      std::lock_guard<std::mutex> lk(lifecycle_mu);
+    }
+    root_events.fetch_add(1, std::memory_order_relaxed);
+    // Dekker pair with park(): either the parking worker sees this root,
+    // or this sees the worker among the sleepers and wakes it.
+    if (sleepers.load(std::memory_order_seq_cst) > 0) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+      }
+      wake.notify_all();
     }
     return true;
+  }
+
+  void leave() {
+    root_events.fetch_add(1, std::memory_order_relaxed);
+    active_roots.fetch_sub(1, std::memory_order_seq_cst);
   }
 
   Task* pop_injected() {
@@ -192,10 +241,14 @@ struct Pool {
     return t;
   }
 
+  /// Only pool threads take injected roots: a caller that picked up a whole
+  /// foreign root while joining its own would return late.
   Task* find_task(int id) {
     Worker& self = *workers[static_cast<std::size_t>(id)];
     if (Task* t = self.deque.pop()) return t;
-    if (Task* t = pop_injected()) return t;
+    if (id != 0) {
+      if (Task* t = pop_injected()) return t;
+    }
     const int n = n_workers.load(std::memory_order_relaxed);
     // Deterministic round-robin starting after self: victim order does not
     // affect results (CREW), only load balance, and it is cheap.
@@ -213,52 +266,75 @@ struct Pool {
     const bool is_root = t->is_root;
     t->pending.store(0, std::memory_order_release);
     if (is_root) {
-      // Wake the external waiter via the pool's cv (which outlives every
+      // Wake the injecting caller via the pool's cv (which outlives every
       // task) — notifying t->pending itself after the store would race
-      // with the task's destruction. Workers woken spuriously re-check
-      // their predicate and go back to sleep.
+      // with the task's destruction.
       {
         std::lock_guard<std::mutex> lk(mu);
       }
-      cv.notify_all();
+      done.notify_all();
     }
+  }
+
+  /// The second concurrent external caller's path: queue the root for a
+  /// pool thread and sleep until it completes.
+  void inject_and_wait(Task* t) {
+    t->is_root = true;
+    {
+      std::lock_guard<std::mutex> lk(inject_mu);
+      inject.push_back(t);
+      inject_size.fetch_add(1, std::memory_order_acq_rel);
+    }
+    std::unique_lock<std::mutex> lk(mu);
+    done.wait(lk, [t] { return t->pending.load(std::memory_order_acquire) == 0; });
   }
 
   void worker_main(int id) {
     tl_worker_id = id;
-    int misses = 0;  // consecutive find_task failures
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point idle_since;
+    u64 idle_events = 0;
+    bool idle = false;
     for (;;) {
       if (Task* t = find_task(id)) {
         execute_task(t);
-        misses = 0;
+        idle = false;
         continue;
       }
       if (stopping.load(std::memory_order_acquire)) return;
-      if (active_roots.load(std::memory_order_acquire) > 0) {
-        // A root is in flight: stay hot at first (steals land within a
-        // scheduling quantum), but back off to a timed park after a spell
-        // of misses so long serial stretches inside a root — and
-        // oversubscribed runs — do not burn whole cores on yield loops.
-        // Task pushes deliberately never notify, so the park self-wakes.
-        if (++misses < kSpinMisses) {
-          std::this_thread::yield();
-        } else {
-          std::unique_lock<std::mutex> lk(mu);
-          cv.wait_for(lk, std::chrono::microseconds(200));
-        }
-        continue;
+      // Spin (yielding) for kIdleSpin after the last task or root event,
+      // so the next root of a solve finds its workers awake; then park.
+      const Clock::time_point now = Clock::now();
+      const u64 events = root_events.load(std::memory_order_relaxed);
+      if (!idle || events != idle_events) {
+        idle = true;
+        idle_since = now;
+        idle_events = events;
       }
-      misses = 0;
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [this] {
-        return stopping.load(std::memory_order_acquire) ||
-               active_roots.load(std::memory_order_acquire) > 0;
-      });
-      if (stopping.load(std::memory_order_acquire)) return;
+      if (now - idle_since < kIdleSpin) {
+        std::this_thread::yield();
+      } else {
+        park();
+      }
     }
   }
 
-  static constexpr int kSpinMisses = 64;
+  /// Sleep until a root starts or the pool stops. While a root is in
+  /// flight, sleep only kRootPark: fork pushes never notify, so the park
+  /// must self-wake to look for them.
+  void park() {
+    std::unique_lock<std::mutex> lk(mu);
+    sleepers.fetch_add(1, std::memory_order_seq_cst);
+    if (active_roots.load(std::memory_order_seq_cst) > 0) {
+      wake.wait_for(lk, kRootPark);
+    } else {
+      wake.wait(lk, [this] {
+        return stopping.load(std::memory_order_acquire) ||
+               active_roots.load(std::memory_order_seq_cst) > 0;
+      });
+    }
+    sleepers.fetch_sub(1, std::memory_order_seq_cst);
+  }
 };
 
 }  // namespace
@@ -267,34 +343,25 @@ bool on_worker() noexcept { return tl_worker_id >= 0; }
 
 int worker_id() noexcept { return tl_worker_id; }
 
-int workers() noexcept { return Pool::get().n_workers.load(std::memory_order_acquire); }
-
 void run_root(Task* t, int want_workers) {
   Pool& p = Pool::get();
-  if (tl_worker_id >= 0 || want_workers <= 1 || !p.ensure_workers(want_workers)) {
-    // Inline execution: the caller is the (synchronous) waiter, so no
-    // completion signaling is needed — and after shutdown the pool's cv
-    // must not be touched at all.
+  if (tl_worker_id >= 0 || want_workers <= 1 || !p.enter(want_workers)) {
+    // Inline: nested in a worker, a single worker, or the pool is shut
+    // down (then its condition variables must not be touched at all).
     t->run(t);
-    t->pending.store(0, std::memory_order_release);
     return;
   }
-  t->is_root = true;
-  p.active_roots.fetch_add(1, std::memory_order_seq_cst);
-  {
-    std::lock_guard<std::mutex> lk(p.inject_mu);
-    p.inject.push_back(t);
-    p.inject_size.fetch_add(1, std::memory_order_acq_rel);
+  if (!p.caller_slot_taken.exchange(true, std::memory_order_acquire)) {
+    // The caller runs its root as worker 0: its forks land on slot 0's
+    // deque for the pool threads to steal, and it helps while joining.
+    tl_worker_id = 0;
+    t->run(t);
+    tl_worker_id = -1;
+    p.caller_slot_taken.store(false, std::memory_order_release);
+  } else {
+    p.inject_and_wait(t);
   }
-  {
-    std::unique_lock<std::mutex> lk(p.mu);
-    // Taking mu pairs with the workers' cv.wait predicate: a worker that
-    // saw active_roots == 0 is either not yet blocked (will re-check
-    // under mu) or already in wait() and reachable by notify.
-    p.cv.notify_all();
-    p.cv.wait(lk, [t] { return t->pending.load(std::memory_order_acquire) == 0; });
-  }
-  p.active_roots.fetch_sub(1, std::memory_order_seq_cst);
+  p.leave();
 }
 
 void push(Task* t) {

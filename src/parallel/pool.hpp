@@ -1,18 +1,23 @@
 #pragma once
 /// \file pool.hpp
-/// Native work-stealing fork-join pool: the `Backend::Pool` realization of
-/// the CREW PRAM (DESIGN.md section 1.1). Every worker owns a Chase–Lev
-/// deque; fork pushes a stack-allocated task onto the forking worker's
-/// deque, join pops it back (the common, contention-free case) or helps by
-/// stealing until the thief finishes it. External threads enter through
-/// run_root(), which parks the caller while the task tree executes on the
-/// workers, so `set_threads(p)` bounds total concurrency by the pool size
-/// (p, except that a resize requested while roots are in flight is
-/// deferred — the old worker count applies until the next quiet root).
+/// Native work-stealing fork-join pool: the library's one parallel executor
+/// and its realization of the CREW PRAM (DESIGN.md section 1.1). Every
+/// worker owns a Chase–Lev deque; fork pushes a stack-allocated task onto
+/// the forking worker's deque, join pops it back (the common,
+/// contention-free case) or helps by stealing until the thief finishes it.
+///
+/// A pool of p workers is the external caller plus p-1 pool threads:
+/// run_root() lets the first external caller take the pool's caller slot
+/// and run its root as worker 0, with a stealable deque of its own. A
+/// second concurrent external caller injects its root instead and parks
+/// until a pool thread completes it. So `set_threads(p)` bounds total
+/// concurrency by p, except that a resize requested while roots are in
+/// flight is deferred — the old worker count applies until the next quiet
+/// root.
 ///
 /// The implementation avoids standalone atomic fences so ThreadSanitizer
 /// can reason about every synchronization edge (the tsan CI preset runs
-/// the whole suite on this backend).
+/// the whole suite on this executor).
 
 #include <atomic>
 #include <utility>
@@ -29,33 +34,34 @@ namespace thsr::par::pool {
 /// through the pool's own long-lived condition variable instead.
 struct Task {
   void (*run)(Task*) = nullptr;
-  bool is_root = false;  // set by run_root before submission
+  bool is_root = false;  // set by run_root on the injected path
   std::atomic<u32> pending{1};
 };
 
-/// Task holding an arbitrary callable by value.
+/// Task holding an arbitrary callable by value. Tasks must not throw: an
+/// exception escaping one terminates the process, since other workers may
+/// still be running forks that point into the unwinding frames.
 template <typename F>
 class Closure final : public Task {
  public:
   explicit Closure(F f) : f_(std::move(f)) { run = &Closure::invoke; }
 
  private:
-  static void invoke(Task* t) { static_cast<Closure*>(t)->f_(); }
+  static void invoke(Task* t) noexcept { static_cast<Closure*>(t)->f_(); }
   F f_;
 };
 
-/// True when the calling thread is a pool worker (i.e. inside run_root).
+/// True when the calling thread is a pool worker — a pool thread, or an
+/// external caller while it runs its root in the caller slot.
 bool on_worker() noexcept;
 
-/// Index of the calling pool worker in [0, workers()), or -1 outside.
+/// Index of the calling worker in [0, p) (the caller slot is 0), or -1
+/// outside the pool.
 int worker_id() noexcept;
 
-/// Number of workers the pool currently runs (0 before first use).
-int workers() noexcept;
-
-/// Run `t` to completion on the pool with `want_workers` workers, blocking
-/// the calling (external) thread. Falls back to inline execution when the
-/// pool is shut down, when want_workers <= 1, or when already on a worker.
+/// Run `t` to completion on a pool of `want_workers` workers, returning
+/// when it is done. Runs inline when the pool is shut down, when
+/// want_workers <= 1, or when already on a worker.
 void run_root(Task* t, int want_workers);
 
 /// Push `t` onto the calling worker's deque. Must be called on a worker.

@@ -26,27 +26,11 @@ double now_s() {
 u64 run_all(std::span<const u32> costs, Schedule sched) {
   const i64 n = static_cast<i64>(costs.size());
   std::atomic<u64> executed{0};
-#ifdef THSR_HAVE_OPENMP
-  if (backend() == Backend::OpenMP) {
-    switch (sched) {
-      case Schedule::StaticBlock: omp_set_schedule(omp_sched_static, 0); break;
-      case Schedule::StaticCyclic: omp_set_schedule(omp_sched_static, 1); break;
-      case Schedule::Dynamic: omp_set_schedule(omp_sched_dynamic, 1); break;
-      case Schedule::Guided: omp_set_schedule(omp_sched_guided, 1); break;
-    }
-#pragma omp parallel for schedule(runtime)
-    for (i64 i = 0; i < n; ++i) {
-      spin(costs[static_cast<std::size_t>(i)]);
-      executed.fetch_add(1, std::memory_order_relaxed);
-    }
-    return executed.load(std::memory_order_relaxed);
-  }
-#endif
-  // Pool / Serial backends: the pool's dynamic-chunk loop, with the chunk
-  // size fixed to the nearest analogue of the requested schedule. (The
-  // pool has no static placement; StaticBlock/StaticCyclic differ from the
-  // dynamic schedules only through the chunk size, which is the part the
-  // lemma's t_{p,N} term charges for anyway.)
+  // The pool's dynamic-chunk loop, with the chunk size fixed to the
+  // nearest analogue of the requested schedule. (The pool has no static
+  // placement; StaticBlock/StaticCyclic differ from the dynamic schedules
+  // only through the chunk size, which is the part the lemma's t_{p,N}
+  // term charges for anyway.)
   const i64 p = std::max(1, max_threads());
   i64 chunk = 1;
   switch (sched) {
@@ -60,7 +44,7 @@ u64 run_all(std::span<const u32> costs, Schedule sched) {
     executed.fetch_add(1, std::memory_order_relaxed);
   };
   if (backend() == Backend::Pool && p > 1 && !pool::on_worker()) {
-    detail::pool_parallel_for(n, body, /*grain=*/1, chunk);
+    detail::pool_parallel_for(n, body, chunk);
     return executed.load(std::memory_order_relaxed);
   }
   for (i64 i = 0; i < n; ++i) body(i);

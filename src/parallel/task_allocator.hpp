@@ -4,10 +4,10 @@
 /// charge every phase a term t_{p,r}: the time to hand r units of work,
 /// split into unequal tasks, to p processors. On a real shared-memory
 /// machine that cost is the scheduler's: this module runs N synthetic tasks
-/// of prescribed sizes under the current backend — OpenMP's four schedules,
-/// or the pool's dynamic-chunk analogue of each — and reports the measured
-/// overhead over the ideal work/p, which bench table_e9_slowdown tabulates
-/// against the lemma's O(r log r / p) allocation bound.
+/// of prescribed sizes on the pool — its dynamic-chunk analogue of each of
+/// four classic schedules — and reports the measured overhead over the
+/// ideal work/p, which bench table_e9_slowdown tabulates against the
+/// lemma's O(r log r / p) allocation bound.
 
 #include <span>
 

@@ -3,13 +3,13 @@
 /// Machine-independent work accounting. The paper's bounds are stated in
 /// PRAM operations; wall-clock on a 2..N-core host cannot validate them
 /// directly, so the library counts the operations that dominate each bound
-/// (exact comparisons, crossings found, persistent nodes created, oracle
-/// queries, envelope pieces touched) in thread-local buckets with negligible
-/// overhead. Any thread — OpenMP team member, pool worker, external caller —
-/// registers its bucket lazily on first count(); buckets outlive their
-/// threads so totals survive pool resizes. Benches E1/E3/E4/E8 report these
-/// counters against the claimed asymptotics, and bench_ci gates CI on them
-/// (they are exactly schedule-, backend-, and machine-independent).
+/// (crossings found, persistent nodes created, oracle queries, envelope
+/// pieces touched) in thread-local buckets with negligible overhead. Any
+/// thread — pool worker or external caller — registers its bucket lazily
+/// on first count(); buckets outlive their threads so totals survive pool
+/// resizes. Benches E1/E3/E4/E8 report these counters against the claimed
+/// asymptotics, and bench_ci gates CI on them (they are exactly schedule-,
+/// backend-, and machine-independent).
 
 #include <array>
 #include <cstdint>
@@ -20,8 +20,7 @@
 namespace thsr {
 
 enum class Op : unsigned {
-  ExactCmp = 0,     ///< exact rational predicate evaluations
-  Crossing,         ///< envelope/profile crossings discovered
+  Crossing = 0,     ///< envelope/profile crossings discovered
   TreapNode,        ///< persistent nodes allocated (path copies + fresh)
   OracleQuery,      ///< first-crossing / next-transition queries issued
   OracleStep,       ///< tree nodes visited inside oracle descents
@@ -39,9 +38,8 @@ enum class Op : unsigned {
 inline constexpr std::size_t kWorkOpCount = static_cast<std::size_t>(Op::FilterFast);
 
 inline constexpr std::array<std::string_view, static_cast<std::size_t>(Op::kCount)> kOpNames{
-    "exact_cmp",   "crossing",  "treap_node",  "oracle_query",
-    "oracle_step", "env_piece", "merge_event", "filter_fast",
-    "filter_exact_fallback"};
+    "crossing",  "treap_node",  "oracle_query", "oracle_step",
+    "env_piece", "merge_event", "filter_fast",  "filter_exact_fallback"};
 
 struct Counters {
   std::array<u64, static_cast<std::size_t>(Op::kCount)> v{};

@@ -66,7 +66,6 @@ ImageRaster raycast_reference(const Terrain& t, const RasterOptions& opt) {
   const ImageWindow win = opt.window ? *opt.window : default_window(t);
   THSR_CHECK(win.y_lo < win.y_hi && win.z_lo < win.z_hi);
   const par::ScopedConfig cfg(opt.threads, opt.backend);
-  if (opt.backend) THSR_CHECK(cfg.backend_applied());
 
   const u32 W = opt.width, H = opt.height, s = opt.supersample;
   ImageRaster out;

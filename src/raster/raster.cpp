@@ -179,7 +179,6 @@ ImageRaster rasterize_impl(std::vector<ColumnSet> sets, const RasterOptions& opt
   check_options(opt);
   THSR_CHECK(win.y_lo < win.y_hi && win.z_lo < win.z_hi);
   const par::ScopedConfig cfg(opt.threads, opt.backend);
-  if (opt.backend) THSR_CHECK(cfg.backend_applied());
 
   const u32 W = opt.width, H = opt.height, s = opt.supersample;
   for (ColumnSet& cs : sets) {
@@ -372,7 +371,6 @@ BandScan scan_band(const Terrain* t, const VisibilityMap* m, const std::vector<u
   THSR_CHECK(m != nullptr && m->edge_slots() == t->edge_count());
 
   const par::ScopedConfig cfg(opt.threads, opt.backend);
-  if (opt.backend) THSR_CHECK(cfg.backend_applied());
 
   ColumnSet cs;
   cs.terrain = t;

@@ -61,9 +61,6 @@ std::vector<std::optional<HsrResult>> ShardedEngine::solve_slabs(const HsrOption
   Impl& im = *impl_;
   THSR_CHECK(im.prepared);
   const par::ScopedConfig cfg(opt.threads, opt.backend);
-  // Contract shared with HsrEngine::solve: an explicitly requested backend
-  // must exist in this build.
-  if (opt.backend) THSR_CHECK(cfg.backend_applied());
 
   HsrOptions slab_opt = opt;  // the fan-out owns the executor configuration
   slab_opt.threads = 0;

@@ -154,7 +154,6 @@ StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sin
   // The whole run executes under one executor configuration; per-slab
   // solves and scans run scoped inside it (the ShardedEngine convention).
   const par::ScopedConfig cfg(opt.solve.threads, opt.solve.backend);
-  if (opt.solve.backend) THSR_CHECK(cfg.backend_applied());
   HsrOptions slab_opt = opt.solve;
   slab_opt.threads = 0;
   slab_opt.backend.reset();

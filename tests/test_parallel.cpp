@@ -1,7 +1,7 @@
 /// Parallel primitive tests: scan / merge / sort vs serial references across
-/// every available backend and thread count, work counters, the native
-/// work-stealing pool (nesting, strict-serial mode, oversubscription), and
-/// the task allocator.
+/// both backends and several thread counts, work counters, the native
+/// work-stealing pool (nesting, strict-serial mode, oversubscription,
+/// concurrent external callers, resizing), and the task allocator.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,15 @@
 namespace thsr {
 namespace {
 
+/// Leaf count of a binary fork_join recursion over [lo, hi).
+i64 count_leaves(i64 lo, i64 hi) {
+  if (hi - lo <= 1) return 1;
+  const i64 mid = lo + (hi - lo) / 2;
+  i64 a = 0, b = 0;
+  par::fork_join([&] { a = count_leaves(lo, mid); }, [&] { b = count_leaves(mid, hi); });
+  return a + b;
+}
+
 /// Fixture selecting a (backend, thread count) pair for the test body and
 /// restoring the previous configuration afterwards.
 class ParallelP : public ::testing::TestWithParam<std::tuple<par::Backend, int>> {
@@ -28,7 +37,7 @@ class ParallelP : public ::testing::TestWithParam<std::tuple<par::Backend, int>>
   void SetUp() override {
     prev_threads_ = par::max_threads();
     prev_backend_ = par::backend();
-    ASSERT_TRUE(par::set_backend(std::get<0>(GetParam())));
+    par::set_backend(std::get<0>(GetParam()));
     par::set_threads(std::get<1>(GetParam()));
   }
   void TearDown() override {
@@ -103,8 +112,7 @@ TEST_P(ParallelP, SortMatchesStdSort) {
 
 TEST_P(ParallelP, NestedForkJoinInsideParallelFor) {
   // Every iteration forks a private two-branch task pair: the pool must
-  // support fork_join from inside a parallel_for region (and OpenMP maps it
-  // onto tasks of the surrounding team).
+  // support fork_join from inside a parallel_for region.
   const i64 n = 2'000;
   std::atomic<i64> left{0}, right{0};
   par::parallel_for(
@@ -121,17 +129,8 @@ TEST_P(ParallelP, NestedForkJoinInsideParallelFor) {
 TEST_P(ParallelP, DeepForkJoinRecursion) {
   // Binary task recursion to depth ~2^12 leaves: exercises deque growth and
   // the help-while-joining path.
-  struct Rec {
-    static i64 count(i64 lo, i64 hi) {
-      if (hi - lo <= 1) return 1;
-      const i64 mid = lo + (hi - lo) / 2;
-      i64 a = 0, b = 0;
-      par::fork_join([&] { a = count(lo, mid); }, [&] { b = count(mid, hi); });
-      return a + b;
-    }
-  };
   i64 total = 0;
-  par::run_root_task([&] { total = Rec::count(0, 4096); });
+  par::run_root_task([&] { total = count_leaves(0, 4096); });
   EXPECT_EQ(total, 4096);
 }
 
@@ -163,11 +162,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(WorkDepth, CountersAccumulateAcrossThreads) {
   work::reset();
-  par::parallel_for(10'000, [&](i64) { work::count(Op::ExactCmp); }, 16);
+  par::parallel_for(10'000, [&](i64) { work::count(Op::Crossing); }, 16);
   const Counters c = work::snapshot();
-  EXPECT_EQ(c[Op::ExactCmp], 10'000u);
+  EXPECT_EQ(c[Op::Crossing], 10'000u);
   work::reset();
-  EXPECT_EQ(work::snapshot()[Op::ExactCmp], 0u);
+  EXPECT_EQ(work::snapshot()[Op::Crossing], 0u);
 }
 
 TEST(WorkDepth, CountersSeePoolWorkerThreads) {
@@ -175,7 +174,7 @@ TEST(WorkDepth, CountersSeePoolWorkerThreads) {
   // count(); snapshot() must see work done on them.
   const par::Backend prev = par::backend();
   const int prev_p = par::max_threads();
-  ASSERT_TRUE(par::set_backend(par::Backend::Pool));
+  par::set_backend(par::Backend::Pool);
   par::set_threads(4);
   work::reset();
   par::parallel_for(50'000, [&](i64) { work::count(Op::OracleStep); }, 16);
@@ -226,25 +225,17 @@ TEST(Backend, ThreadControl) {
   par::set_threads(prev);
 }
 
-TEST(Backend, NamesParseAndAvailability) {
+TEST(Backend, NamesParseAndSelection) {
   using par::Backend;
   EXPECT_STREQ(par::backend_name(Backend::Serial), "serial");
-  EXPECT_STREQ(par::backend_name(Backend::OpenMP), "openmp");
   EXPECT_STREQ(par::backend_name(Backend::Pool), "pool");
   EXPECT_EQ(par::parse_backend("serial"), Backend::Serial);
-  EXPECT_EQ(par::parse_backend("openmp"), Backend::OpenMP);
   EXPECT_EQ(par::parse_backend("pool"), Backend::Pool);
   EXPECT_EQ(par::parse_backend("POOL"), std::nullopt);
   EXPECT_EQ(par::parse_backend(""), std::nullopt);
-  EXPECT_TRUE(par::backend_available(Backend::Serial));
-  EXPECT_TRUE(par::backend_available(Backend::Pool));
-#ifndef THSR_HAVE_OPENMP
-  EXPECT_FALSE(par::backend_available(Backend::OpenMP));
-  EXPECT_FALSE(par::set_backend(Backend::OpenMP));  // refused, nothing changes
-#endif
   const Backend prev = par::backend();
   for (const par::Backend b : par::available_backends()) {
-    ASSERT_TRUE(par::set_backend(b));
+    par::set_backend(b);
     EXPECT_EQ(par::backend(), b);
   }
   par::set_backend(prev);
@@ -257,7 +248,7 @@ TEST(Backend, SetThreadsOneIsStrictlySerial) {
   const int prev_p = par::max_threads();
   const auto self = std::this_thread::get_id();
   for (const par::Backend b : par::available_backends()) {
-    ASSERT_TRUE(par::set_backend(b));
+    par::set_backend(b);
     par::set_threads(1);
     int on_other_thread = 0;
     par::parallel_for(10'000, [&](i64) {
@@ -276,7 +267,7 @@ TEST(Backend, SetThreadsOneIsStrictlySerial) {
 TEST(Pool, OversubscriptionBeyondHardwareConcurrency) {
   const par::Backend prev = par::backend();
   const int prev_p = par::max_threads();
-  ASSERT_TRUE(par::set_backend(par::Backend::Pool));
+  par::set_backend(par::Backend::Pool);
   const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   par::set_threads(4 * hw);
   auto g = test::rng(41);
@@ -297,15 +288,23 @@ TEST(Pool, OversubscriptionBeyondHardwareConcurrency) {
 TEST(Pool, WorkerIdentityInsideRegions) {
   const par::Backend prev = par::backend();
   const int prev_p = par::max_threads();
-  ASSERT_TRUE(par::set_backend(par::Backend::Pool));
+  par::set_backend(par::Backend::Pool);
   par::set_threads(4);
   EXPECT_FALSE(par::in_parallel());
+  const auto self = std::this_thread::get_id();
   std::atomic<int> bad{0};
+  // An uncontended root runs on the calling thread, as worker 0.
   par::run_root_task([&] {
     if (!par::in_parallel()) bad.fetch_add(1);
-    const int w = par::worker_index();
-    if (w < 0 || w >= par::max_threads()) bad.fetch_add(1);
+    if (std::this_thread::get_id() != self || par::worker_index() != 0) bad.fetch_add(1);
   });
+  par::parallel_for(
+      1'000,
+      [&](i64) {
+        const int w = par::worker_index();
+        if (!par::in_parallel() || w < 0 || w >= par::max_threads()) bad.fetch_add(1);
+      },
+      1);
   EXPECT_FALSE(par::in_parallel());
   EXPECT_EQ(bad.load(), 0);
   par::set_threads(prev_p);
@@ -315,12 +314,60 @@ TEST(Pool, WorkerIdentityInsideRegions) {
 TEST(Pool, RepeatedResizeIsSafe) {
   const par::Backend prev = par::backend();
   const int prev_p = par::max_threads();
-  ASSERT_TRUE(par::set_backend(par::Backend::Pool));
+  par::set_backend(par::Backend::Pool);
   for (const int p : {2, 4, 1, 3, 2}) {
     par::set_threads(p);
     std::atomic<i64> n{0};
     par::parallel_for(10'000, [&](i64) { n.fetch_add(1, std::memory_order_relaxed); }, 32);
     EXPECT_EQ(n.load(), 10'000);
+  }
+  par::set_threads(prev_p);
+  par::set_backend(prev);
+}
+
+TEST(Pool, ConcurrentExternalRootsRunEveryIndexOnce) {
+  // Several external threads drive the pool at once: whichever holds the
+  // caller slot runs its root as worker 0, the others inject theirs and
+  // wait. Between bursts set_threads resizes the pool.
+  const par::Backend prev = par::backend();
+  const int prev_p = par::max_threads();
+  par::set_backend(par::Backend::Pool);
+  constexpr int kCallers = 4, kRounds = 6;
+  constexpr i64 kN = 5'000, kLeaves = 512;
+  constexpr std::size_t kFan = 16;
+  for (const int p : {4, 2, 4}) {
+    par::set_threads(p);
+    std::vector<std::atomic<int>> loop_hits(kCallers * kN), fan_hits(kCallers * kFan);
+    std::vector<i64> leaves(kCallers, 0);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        const auto cu = static_cast<std::size_t>(c);
+        for (int r = 0; r < kRounds; ++r) {
+          par::parallel_for(
+              kN,
+              [&](i64 i) {
+                loop_hits[cu * kN + static_cast<std::size_t>(i)].fetch_add(
+                    1, std::memory_order_relaxed);
+              },
+              16);
+          par::fan_items(kFan, [&](std::size_t i) {
+            fan_hits[cu * kFan + i].fetch_add(1, std::memory_order_relaxed);
+          });
+          i64 n = 0;
+          par::run_root_task([&] { n = count_leaves(0, kLeaves); });
+          leaves[cu] += n;
+        }
+      });
+    }
+    for (auto& t : callers) t.join();
+    for (std::size_t i = 0; i < loop_hits.size(); ++i) {
+      ASSERT_EQ(loop_hits[i].load(), kRounds) << "p=" << p << " loop index " << i;
+    }
+    for (std::size_t i = 0; i < fan_hits.size(); ++i) {
+      ASSERT_EQ(fan_hits[i].load(), kRounds) << "p=" << p << " fan item " << i;
+    }
+    for (const i64 n : leaves) EXPECT_EQ(n, kRounds * kLeaves) << "p=" << p;
   }
   par::set_threads(prev_p);
   par::set_backend(prev);

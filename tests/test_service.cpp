@@ -524,6 +524,41 @@ TEST(QueryServerTest, BadQueriesYieldErrorRepliesNotCrashes) {
   EXPECT_EQ(s.errors, u64{3});
 }
 
+// A malformed pixel budget is input from the client: the solve must throw
+// into an Error reply, not abort the server, and the worker must go on to
+// serve the next query exactly.
+TEST(QueryServerTest, MalformedPixelBudgetYieldsErrorReply) {
+  const auto t = make_shared_terrain(Family::Fbm, 8);
+  QueryServer server({.workers = 1});
+  server.add_terrain(1, t);
+
+  std::vector<QueryReply> replies;
+  std::mutex mu;
+  const auto collect = [&](QueryReply&& r) {
+    const std::lock_guard<std::mutex> lk(mu);
+    replies.push_back(std::move(r));
+  };
+  HsrOptions bad;
+  bad.pixel_budget = PixelBudget{.y_lo = 4, .y_hi = 4, .y_samples = 8};
+  ASSERT_TRUE(server.submit(Query{.terrain_id = 1, .solve = bad, .tag = 0}, collect));
+  ASSERT_TRUE(server.submit(Query{.terrain_id = 1, .tag = 1}, collect));
+  server.drain();
+
+  ASSERT_EQ(replies.size(), std::size_t{2});
+  for (const QueryReply& r : replies) {
+    if (r.tag == 0) {
+      EXPECT_EQ(r.status, QueryStatus::Error);
+      EXPECT_FALSE(r.error.empty());
+      EXPECT_FALSE(r.result.has_value());
+    } else {
+      ASSERT_EQ(r.status, QueryStatus::Ok) << r.error;
+      ASSERT_TRUE(r.result.has_value());
+      expect_identical(*r.result, hidden_surface_removal(*t, HsrOptions{}), "valid query");
+    }
+  }
+  EXPECT_EQ(server.stats().errors, u64{1});
+}
+
 TEST(QueryServerTest, NonBlockingSubmitDropsWhenFull) {
   const auto t = make_shared_terrain(Family::Fbm, 8);
   QueryServer server({.workers = 1, .queue_capacity = 1, .block_when_full = false});
