@@ -1,4 +1,4 @@
-#include "cg/all_crossings.hpp"
+#include "acg/all_crossings.hpp"
 
 #include <algorithm>
 #include <mutex>

@@ -13,7 +13,7 @@
 /// Both report exactly the crossings interior to envelope pieces; bench
 /// table_f2_acg_query compares them (experiment E7).
 
-#include "cg/hull_tree.hpp"
+#include "acg/hull_tree.hpp"
 
 namespace thsr {
 

@@ -1,4 +1,4 @@
-#include "cg/hull_tree.hpp"
+#include "acg/hull_tree.hpp"
 
 #include "parallel/work_depth.hpp"
 

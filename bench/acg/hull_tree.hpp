@@ -21,8 +21,8 @@
 #include <atomic>
 #include <optional>
 
+#include "acg/lower_hull.hpp"
 #include "envelope/envelope.hpp"
-#include "geometry/lower_hull.hpp"
 
 namespace thsr {
 

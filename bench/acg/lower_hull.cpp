@@ -1,4 +1,4 @@
-#include "geometry/lower_hull.hpp"
+#include "acg/lower_hull.hpp"
 
 #include <algorithm>
 

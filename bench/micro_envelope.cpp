@@ -3,16 +3,15 @@
 #include <benchmark/benchmark.h>
 
 #include "envelope/build.hpp"
-#include "test_support_random.hpp"
+#include "support/random_segments.hpp"
 
 namespace {
 
 using namespace thsr;
-using thsr::bench::random_segments_for_bench;
 
 void BM_EnvelopeBuildSerial(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto segs = random_segments_for_bench(n, 1);
+  const auto segs = support::random_segments(1, n, 100'000);
   std::vector<u32> ids(n);
   for (u32 i = 0; i < n; ++i) ids[i] = i;
   for (auto _ : state) {
@@ -24,7 +23,7 @@ BENCHMARK(BM_EnvelopeBuildSerial)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
 
 void BM_EnvelopeBuildParallel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto segs = random_segments_for_bench(n, 1);
+  const auto segs = support::random_segments(1, n, 100'000);
   std::vector<u32> ids(n);
   for (u32 i = 0; i < n; ++i) ids[i] = i;
   for (auto _ : state) {
@@ -36,7 +35,7 @@ BENCHMARK(BM_EnvelopeBuildParallel)->Arg(1 << 13)->Arg(1 << 16);
 
 void BM_EnvelopeMerge(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto segs = random_segments_for_bench(2 * n, 3);
+  const auto segs = support::random_segments(3, 2 * n, 100'000);
   std::vector<u32> a, b;
   for (u32 i = 0; i < 2 * n; ++i) (i % 2 ? a : b).push_back(i);
   const Envelope ea = envelope_of(a, segs), eb = envelope_of(b, segs);
@@ -48,7 +47,7 @@ void BM_EnvelopeMerge(benchmark::State& state) {
 BENCHMARK(BM_EnvelopeMerge)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_EnvelopeEval(benchmark::State& state) {
-  const auto segs = random_segments_for_bench(1 << 14, 5);
+  const auto segs = support::random_segments(5, 1 << 14, 100'000);
   std::vector<u32> ids(segs.size());
   for (u32 i = 0; i < ids.size(); ++i) ids[i] = i;
   const Envelope env = envelope_of(ids, segs);

@@ -4,15 +4,14 @@
 
 #include <random>
 
-#include "cg/hull_tree.hpp"
+#include "acg/hull_tree.hpp"
 #include "cg/profile_query.hpp"
 #include "envelope/build.hpp"
-#include "test_support_random.hpp"
+#include "support/random_segments.hpp"
 
 namespace {
 
 using namespace thsr;
-using thsr::bench::random_segments_for_bench;
 
 struct Fixture {
   std::vector<Seg2> segs;
@@ -23,7 +22,7 @@ struct Fixture {
   std::vector<Seg2> queries;
 
   explicit Fixture(std::size_t m) {
-    segs = random_segments_for_bench(m, 17);
+    segs = support::random_segments(17, m, 100'000);
     ids.resize(m);
     for (u32 i = 0; i < m; ++i) ids[i] = i;
     env = envelope_of(ids, segs);
@@ -32,7 +31,7 @@ struct Fixture {
       const PieceData run{p.y0, p.y1, p.edge};
       prof = ptreap::replace_range(arena, prof, p.y0, p.y1, std::span(&run, 1), segs);
     }
-    queries = random_segments_for_bench(1024, 23);
+    queries = support::random_segments(23, 1024, 100'000);
   }
 };
 
@@ -61,7 +60,7 @@ void BM_PersistentWalk(benchmark::State& state) {
 BENCHMARK(BM_PersistentWalk)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_ExactPredicate(benchmark::State& state) {
-  const auto segs = random_segments_for_bench(1024, 29);
+  const auto segs = support::random_segments(29, 1024, 100'000);
   std::size_t i = 0;
   const QY y(12345, 67);
   for (auto _ : state) {
@@ -74,7 +73,7 @@ void BM_ExactPredicate(benchmark::State& state) {
 BENCHMARK(BM_ExactPredicate);
 
 void BM_LineCrossing(benchmark::State& state) {
-  const auto segs = random_segments_for_bench(1024, 31);
+  const auto segs = support::random_segments(31, 1024, 100'000);
   std::size_t i = 0;
   for (auto _ : state) {
     const Seg2& a = segs[i % segs.size()];

@@ -6,7 +6,6 @@
 #include <random>
 
 #include "persist/ptreap.hpp"
-#include "test_support_random.hpp"
 
 namespace {
 

@@ -8,12 +8,11 @@
 #include <chrono>
 #include <random>
 
+#include "acg/hull_tree.hpp"
 #include "bench_util.hpp"
-#include "cg/hull_tree.hpp"
 #include "cg/profile_query.hpp"
 #include "envelope/build.hpp"
 #include "parallel/work_depth.hpp"
-#include "test_support_random.hpp"
 
 namespace {
 

@@ -7,7 +7,7 @@
 
 #include "bench_util.hpp"
 #include "envelope/build.hpp"
-#include "test_support_random.hpp"
+#include "support/random_segments.hpp"
 
 int main() {
   using namespace thsr;
@@ -25,7 +25,7 @@ int main() {
   std::vector<std::size_t> sizes{1'000, 4'000, 16'000, 64'000};
   if (large()) sizes.push_back(256'000);
   for (const std::size_t m : sizes) {
-    const auto segs = random_segments_for_bench(m, 42);
+    const auto segs = support::random_segments(42, m, 100'000);
     std::vector<u32> ids(m);
     for (u32 i = 0; i < m; ++i) ids[i] = i;
     Envelope serial, parallel;

@@ -7,8 +7,8 @@
 #include <chrono>
 #include <random>
 
+#include "acg/all_crossings.hpp"
 #include "bench_util.hpp"
-#include "cg/all_crossings.hpp"
 #include "envelope/build.hpp"
 
 int main() {

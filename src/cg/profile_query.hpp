@@ -16,9 +16,10 @@
 /// possibly emitting the single boundary event they imply) and decides
 /// everything else with exact rational predicates at the pieces. This
 /// replaces the paper's convex-chain augmentation on the shared persistent
-/// structure; the static hull tree in cg/hull_tree.hpp provides the
-/// chain-augmented variant for static envelopes, and bench
-/// table_e10_ablation_oracle quantifies the substitution (DESIGN.md sec. 1).
+/// structure; the static hull tree in bench/acg/hull_tree.hpp (a
+/// bench-local library) provides the chain-augmented variant for static
+/// envelopes, and bench table_e10_ablation_oracle quantifies the
+/// substitution (DESIGN.md sec. 1.3).
 ///
 /// Cost: O((1 + #events) * log |P|) node visits on terrain-like profiles;
 /// all published versions are immutable, so any number of walks may run

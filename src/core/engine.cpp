@@ -118,18 +118,6 @@ void recycle_workspace(detail::Workspace& ws) {
 
 void HsrEngine::prepare(const Terrain& t) {
   Impl& im = *impl_;
-  work::reset();
-  const work::Scope scope;
-  detail::Timer order_timer;
-  im.ctx = detail::make_context(t);
-  im.order_s = order_timer.seconds();
-  im.prepare_work = scope.delta();
-  recycle_workspace(im.ws);
-  im.prepared = true;
-}
-
-void HsrEngine::prepare_scoped(const Terrain& t) {
-  Impl& im = *impl_;
   const par::SerialRegion serial;  // whole preparation inline on this thread
   const Counters before = work::local_snapshot();
   detail::Timer order_timer;
@@ -206,7 +194,6 @@ HsrResult HsrEngine::solve(const HsrOptions& opt) {
   Impl& im = *impl_;
   THSR_CHECK(im.prepared);
   const par::ScopedConfig cfg(opt.threads, opt.backend);
-  work::reset();
   return solve_on(im.ctx, im.ws, im.prepare_work, im.order_s, opt, /*thread_scope=*/false);
 }
 

@@ -59,17 +59,11 @@ class HsrEngine {
   /// built lazily inside the first Parallel solve (and timed there), so
   /// sequential/reference-only sessions never pay for it. Fully evicts any
   /// previously prepared terrain; retained scratch memory is recycled, not
-  /// freed.
+  /// freed. Preparation runs inline on the calling thread (a
+  /// par::SerialRegion) and its work is counted from that thread's
+  /// counters alone, so it is safe while other threads solve other engines
+  /// (the serving layer's cache-miss path, src/service/engine_cache.hpp).
   void prepare(const Terrain& t);
-
-  /// prepare() for engines built while *other* threads are mid-solve (the
-  /// serving layer's cache-miss path, src/service/engine_cache.hpp): the
-  /// whole preparation runs inline on the calling thread under a
-  /// par::SerialRegion with thread-local counter attribution — no global
-  /// counter reset, so concurrent solve_scoped calls on other engines keep
-  /// exact counters. The cached context, and every later solve against it,
-  /// is bit-identical to prepare()'s (tests/test_service.cpp).
-  void prepare_scoped(const Terrain& t);
 
   /// Prepare for `t` by *transferring* the solve-independent context of
   /// `base` where it is still valid: when `t` has the same triangles and
@@ -80,9 +74,9 @@ class HsrEngine {
   /// table is rebuilt from t's heights. Counter-exact: the transferred
   /// prepare work equals what recomputation would have counted, because
   /// depth ordering reads only ground coordinates (asserted in
-  /// tests/test_service.cpp). Runs scoped (thread-local attribution) like
-  /// prepare_scoped(). Throws std::invalid_argument when `t` and base's
-  /// terrain differ in topology or ground projection.
+  /// tests/test_service.cpp). Runs on the calling thread like prepare().
+  /// Throws std::invalid_argument when `t` and base's terrain differ in
+  /// topology or ground projection.
   void prepare_with_order_of(const Terrain& t, const HsrEngine& base);
 
   /// Build the lazily constructed PCT skeleton now (idempotent; a pure
@@ -97,7 +91,9 @@ class HsrEngine {
 
   /// Run one algorithm against the prepared context. Requires prepare().
   /// `opt.threads` / `opt.backend` apply for the duration of the solve and
-  /// are restored afterwards (exception-safe).
+  /// are restored afterwards (exception-safe). The solve may run on pool
+  /// workers, so its work is a delta of every thread's counters: exact
+  /// unless other threads count concurrently (use solve_scoped() then).
   HsrResult solve(const HsrOptions& opt = {});
 
   /// Solve every option set against the prepared context, fanning the
@@ -111,12 +107,12 @@ class HsrEngine {
   /// The per-item primitive behind solve_batch: run one solve entirely on
   /// the calling thread (a par::SerialRegion), inside whatever parallel
   /// region — and under whatever executor configuration — the caller has
-  /// already established. No global counter reset; work is attributed via
-  /// the calling thread's counters, so concurrent solve_scoped calls on
-  /// *different* engines report exact per-call Counters. This is how a
-  /// multi-engine driver (shard::ShardedEngine) fans one solve per engine
-  /// over par::fan_items. `opt.threads` / `opt.backend` must be unset.
-  /// The result is bit-identical to solve(opt).
+  /// already established. Work is attributed via the calling thread's
+  /// counters, so concurrent solve_scoped calls on *different* engines
+  /// report exact per-call Counters. This is how a multi-engine driver
+  /// (shard::ShardedEngine) fans one solve per engine over par::fan_items.
+  /// `opt.threads` / `opt.backend` must be unset. The result is
+  /// bit-identical to solve(opt).
   HsrResult solve_scoped(const HsrOptions& opt = {});
 
   /// Donate a retired result's piece buffers back to the engine so the

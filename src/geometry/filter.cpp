@@ -5,12 +5,10 @@
 
 namespace thsr::filt {
 
-#ifndef THSR_NO_FILTER
 bool runtime_enabled_init() noexcept {
   const char* v = std::getenv("THSR_NO_FILTER");
   if (!v || !*v) return true;
   return std::strcmp(v, "0") == 0;  // THSR_NO_FILTER=0 keeps the filter on
 }
-#endif
 
 }  // namespace thsr::filt

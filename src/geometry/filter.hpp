@@ -9,7 +9,7 @@
 /// `__int128` evaluation is skipped. Inconclusive signs fall back to the
 /// exact code, which remains the single source of truth — every map and
 /// counter the library produces is bit-identical with the filter on or off
-/// (enforced by bench_ci and the THSR_NO_FILTER CI leg).
+/// (enforced by bench_ci and the THSR_NO_FILTER=1 CI leg).
 ///
 /// The error bounds are *semi-static*: the epsilon constants below are
 /// static consequences of the DESIGN.md section 5 magnitude analysis
@@ -24,9 +24,8 @@
 /// (Op::FilterFast / Op::FilterExact) baseline-gateable like any work
 /// counter.
 ///
-/// Escape hatch: configure with -DTHSR_NO_FILTER=ON (compile-time) or set
-/// the THSR_NO_FILTER environment variable to anything but "0" (runtime) to
-/// force every predicate down the exact path.
+/// Escape hatch: set the THSR_NO_FILTER environment variable to anything
+/// but "0" to force every predicate down the exact path.
 
 #include <cmath>
 
@@ -57,11 +56,6 @@ inline constexpr double kUlp = 0x1p-53;
 inline constexpr double kEps2 = 0x1p-50;
 inline constexpr double kEps4 = 0x1p-49;
 
-#ifdef THSR_NO_FILTER
-/// Compile-time kill switch: every predicate takes the exact path and no
-/// filter telemetry is counted.
-constexpr bool enabled() noexcept { return false; }
-#else
 /// One-time read of the THSR_NO_FILTER environment variable (any value but
 /// "0" disables). Out of line so <cstdlib> stays out of this hot header.
 bool runtime_enabled_init() noexcept;
@@ -71,11 +65,10 @@ inline bool enabled() noexcept {
   static const bool on = runtime_enabled_init();
   return on;
 }
-#endif
 
 /// Telemetry: one FilterFast per predicate decided without exact
 /// arithmetic, one FilterExact per fallback. Only counted while enabled()
-/// — a disabled build/run reports zeros, which the bench_ci baseline
+/// — a disabled run reports zeros, which the bench_ci baseline
 /// check treats as a (non-failing) drop. work::count is fully inline
 /// (work_depth.hpp), so each note is a thread-local add.
 inline void note_fast() noexcept { work::count(Op::FilterFast); }

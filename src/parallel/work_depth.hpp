@@ -93,23 +93,9 @@ Counters snapshot() noexcept;
 /// threads — which global snapshot() deltas are not.
 Counters local_snapshot() noexcept;
 
-/// Zero all threads' counters.
+/// Zero all threads' counters. Only for single-threaded drivers: a thread
+/// that is mid-measurement sees its before/after delta wrap.
 void reset() noexcept;
-
-/// RAII scope that reports the counter delta it observed.
-class Scope {
- public:
-  Scope() { start_ = snapshot(); }
-  Counters delta() const noexcept {
-    Counters now = snapshot();
-    Counters d;
-    for (std::size_t i = 0; i < d.v.size(); ++i) d.v[i] = now.v[i] - start_.v[i];
-    return d;
-  }
-
- private:
-  Counters start_;
-};
 
 }  // namespace work
 }  // namespace thsr

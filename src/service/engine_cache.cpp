@@ -29,7 +29,7 @@ struct KeyHash {
 
 /// The one place PreparedView instances are assembled: resolves the reuse
 /// ladder (canonical frame: no transform copy; ground-preserving with a
-/// resident base: depth-order transfer; otherwise full scoped prepare) and
+/// resident base: depth-order transfer; otherwise full prepare) and
 /// pre-builds the PCT so the finished view is safe for concurrent
 /// solve_scoped callers.
 struct PreparedViewBuilder {
@@ -42,7 +42,7 @@ struct PreparedViewBuilder {
     v->source_ = std::move(source);
     if (is_canonical_frame(cvp)) {
       v->view_terrain_ = v->source_.get();
-      v->engine_.prepare_scoped(*v->view_terrain_);
+      v->engine_.prepare(*v->view_terrain_);
     } else {
       v->transformed_ = std::make_unique<Terrain>(transform_terrain(*v->source_, cvp));
       v->view_terrain_ = v->transformed_.get();
@@ -50,7 +50,7 @@ struct PreparedViewBuilder {
         v->engine_.prepare_with_order_of(*v->view_terrain_, base->engine_);
         v->reused_base_order_ = true;
       } else {
-        v->engine_.prepare_scoped(*v->view_terrain_);
+        v->engine_.prepare(*v->view_terrain_);
       }
     }
     v->engine_.ensure_parallel_ready();
@@ -64,10 +64,7 @@ u64 PreparedView::footprint_bytes() const noexcept {
   // Context tables scale with the edge count: the image-plane segment
   // table, the sliver flags, and the depth order's two u32 vectors.
   bytes += t.edge_count() * (sizeof(Seg2) + 1 + 2 * sizeof(u32));
-  if (transformed_) {
-    bytes += t.vertex_count() * sizeof(Vertex3) + t.triangle_count() * sizeof(Triangle) +
-             t.edge_count() * sizeof(Edge);
-  }
+  if (transformed_) bytes += t.footprint_bytes();
   return bytes;
 }
 

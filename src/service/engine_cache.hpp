@@ -18,7 +18,7 @@
 /// prepares on the source terrain directly (no transform copy);
 /// ground-preserving viewpoints transfer the depth order from the resident
 /// canonical-frame entry via `HsrEngine::prepare_with_order_of`; everything
-/// else runs a full `prepare_scoped`. All three produce bit-identical
+/// else runs a full `prepare`. All three produce bit-identical
 /// solves (maps and counters) — the ladder is a wall-clock optimization
 /// only, which is what lets it stay opportunistic (tests/test_service.cpp).
 ///

@@ -43,9 +43,9 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   /// Decompose `t` into `slabs` y-slabs and prepare one session engine per
-  /// non-empty slab (sequentially: preparation's counter attribution is
-  /// global, and the scaling axis is the repeated solve). Fully evicts any
-  /// previously prepared terrain. The terrain must outlive every solve.
+  /// non-empty slab (sequentially: the scaling axis is the repeated
+  /// solve). Fully evicts any previously prepared terrain. The terrain must
+  /// outlive every solve.
   void prepare(const Terrain& t, u32 slabs);
 
   bool prepared() const noexcept;

@@ -46,11 +46,6 @@ class Residency {
   u64 budget_;
 };
 
-u64 terrain_bytes(const Terrain& t) {
-  return u64{t.vertex_count()} * sizeof(Vertex3) + u64{t.triangle_count()} * sizeof(Triangle) +
-         u64{t.edge_count()} * sizeof(Edge);
-}
-
 u64 map_bytes(const VisibilityMap& m) {
   return u64{m.edge_slots()} * sizeof(std::vector<VisiblePiece>) +
          m.k_pieces() * sizeof(VisiblePiece);
@@ -225,7 +220,7 @@ StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sin
       res.sub(vals.size() * sizeof(double));
       vals = {};
 
-      sl.charged = terrain_bytes(sl.build.terrain) + sl.build.global_tri.size() * sizeof(u32);
+      sl.charged = sl.build.terrain.footprint_bytes() + sl.build.global_tri.size() * sizeof(u32);
       res.add(sl.charged);
       if (!sl.build.empty()) engines[gi]->prepare(sl.build.terrain);
     }

@@ -1,8 +1,8 @@
 #pragma once
 /// \file random_segments.hpp
 /// The one shared deterministic segment-soup generator tests and benches
-/// both draw from (tests/test_util.hpp and bench/test_support_random.hpp
-/// are thin forwarding wrappers): a single definition means the two can
+/// both draw from (benches call it directly; tests/test_util.hpp forwards
+/// it with a smaller default range): a single definition means the two can
 /// never drift apart and regenerate different soups for the same seed.
 /// mt19937_64 sequences are specified by the standard, so the output is
 /// identical on every platform.

@@ -73,6 +73,14 @@ class Terrain {
   std::size_t triangle_count() const noexcept { return triangles_.size(); }
   std::size_t edge_count() const noexcept { return edges_.size(); }  ///< number of unique edges
 
+  /// Bytes of the vertex, face and edge tables: the resident cost of one
+  /// copy of this terrain (charged by the stream residency meter and the
+  /// service cache's footprint accounting).
+  u64 footprint_bytes() const noexcept {
+    return vertices_.size() * sizeof(Vertex3) + triangles_.size() * sizeof(Triangle) +
+           edges_.size() * sizeof(Edge);
+  }
+
   const Vertex3& vertex(u32 i) const { return vertices_[i]; }  ///< vertex by index
   std::span<const Vertex3> vertices() const noexcept { return vertices_; }  ///< all vertices
   /// All faces, in input order (triangle ids are input indices).

@@ -5,7 +5,7 @@
 
 #include <random>
 
-#include "geometry/lower_hull.hpp"
+#include "acg/lower_hull.hpp"
 #include "test_util.hpp"
 
 namespace thsr {

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cg/all_crossings.hpp"
+#include "acg/all_crossings.hpp"
 #include "envelope/build.hpp"
 #include "test_util.hpp"
 

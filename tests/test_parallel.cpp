@@ -1,22 +1,19 @@
-/// Parallel primitive tests: scan / merge / sort vs serial references across
-/// both backends and several thread counts, work counters, the native
-/// work-stealing pool (nesting, strict-serial mode, oversubscription,
-/// concurrent external callers, resizing), and the task allocator.
+/// Fork-join executor tests across both backends and several thread
+/// counts: parallel_for / fan_items / fork_join coverage, work counters,
+/// and the native work-stealing pool (nesting, strict-serial mode,
+/// oversubscription, fixed-chunk loops, concurrent external callers,
+/// resizing).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
-#include <random>
 #include <thread>
+#include <vector>
 
 #include "parallel/backend.hpp"
-#include "parallel/merge_sort.hpp"
 #include "parallel/pool.hpp"
-#include "parallel/scan.hpp"
-#include "parallel/task_allocator.hpp"
 #include "parallel/work_depth.hpp"
-#include "test_util.hpp"
 
 namespace thsr {
 namespace {
@@ -53,61 +50,6 @@ TEST_P(ParallelP, ParallelForCoversAllIndices) {
   std::vector<std::atomic<int>> hits(n);
   par::parallel_for(n, [&](i64 i) { hits[static_cast<std::size_t>(i)].fetch_add(1); });
   for (i64 i = 0; i < n; ++i) ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1);
-}
-
-TEST_P(ParallelP, ExclusiveScanMatchesSerial) {
-  auto g = test::rng(5);
-  std::uniform_int_distribution<u64> d(0, 1000);
-  for (const std::size_t n : {0ul, 1ul, 7ul, 4096ul, 100'001ul}) {
-    std::vector<u64> xs(n);
-    for (auto& x : xs) x = d(g);
-    const auto scan = par::exclusive_scan(xs);
-    ASSERT_EQ(scan.size(), n + 1);
-    u64 acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(scan[i], acc);
-      acc += xs[i];
-    }
-    EXPECT_EQ(scan[n], acc);
-  }
-}
-
-TEST_P(ParallelP, InclusiveScanGenericOp) {
-  std::vector<u64> xs(50'000, 1);
-  const auto inc =
-      par::inclusive_scan<u64>(xs, u64{0}, [](u64 a, u64 b) { return a + b; });
-  for (std::size_t i = 0; i < xs.size(); ++i) ASSERT_EQ(inc[i], i + 1);
-}
-
-TEST_P(ParallelP, MergeMatchesStdMerge) {
-  auto g = test::rng(17);
-  std::uniform_int_distribution<int> d(-1'000'000, 1'000'000);
-  for (const std::size_t na : {0ul, 5ul, 1000ul, 30'000ul}) {
-    for (const std::size_t nb : {0ul, 17ul, 20'000ul}) {
-      std::vector<int> a(na), b(nb);
-      for (auto& x : a) x = d(g);
-      for (auto& x : b) x = d(g);
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      std::vector<int> expect(na + nb), got(na + nb);
-      std::merge(a.begin(), a.end(), b.begin(), b.end(), expect.begin());
-      par::parallel_merge<int>(a, b, got, std::less<int>{}, /*grain=*/64);
-      EXPECT_EQ(got, expect);
-    }
-  }
-}
-
-TEST_P(ParallelP, SortMatchesStdSort) {
-  auto g = test::rng(23);
-  std::uniform_int_distribution<long> d(-1'000'000'000L, 1'000'000'000L);
-  for (const std::size_t n : {0ul, 1ul, 2ul, 999ul, 65'536ul, 200'000ul}) {
-    std::vector<long> xs(n);
-    for (auto& x : xs) x = d(g);
-    auto expect = xs;
-    std::sort(expect.begin(), expect.end());
-    par::parallel_sort<long>(xs, std::less<long>{}, /*grain=*/256);
-    EXPECT_EQ(xs, expect);
-  }
 }
 
 TEST_P(ParallelP, NestedForkJoinInsideParallelFor) {
@@ -183,32 +125,6 @@ TEST(WorkDepth, CountersSeePoolWorkerThreads) {
   par::set_backend(prev);
 }
 
-TEST(WorkDepth, ScopeDeltas) {
-  work::reset();
-  work::count(Op::Crossing, 5);
-  const work::Scope scope;
-  work::count(Op::Crossing, 7);
-  EXPECT_EQ(scope.delta()[Op::Crossing], 7u);
-}
-
-TEST(TaskAllocator, RunsAllSchedulesAndReportsSaneNumbers) {
-  std::vector<u32> costs(500, 2000);
-  for (std::size_t i = 0; i < costs.size(); i += 7) costs[i] = 20'000;  // skew
-  for (const auto sched : {par::Schedule::StaticBlock, par::Schedule::Dynamic,
-                           par::Schedule::Guided, par::Schedule::StaticCyclic}) {
-    const auto rep = par::run_synthetic_tasks(costs, 2, sched);
-    EXPECT_EQ(rep.tasks, costs.size());
-    EXPECT_GT(rep.serial_s, 0.0);
-    EXPECT_GT(rep.wall_s, 0.0);
-    // Deterministic completion condition, not a wall-clock ratio: under
-    // TSan or on an oversubscribed host the parallel pass can legitimately
-    // run slower than serial, but every task must still execute exactly
-    // once regardless of schedule or backend.
-    EXPECT_EQ(rep.executed, rep.tasks) << par::schedule_name(sched);
-    EXPECT_EQ(rep.overhead_s, rep.wall_s - rep.ideal_s);
-  }
-}
-
 TEST(Backend, ForkJoinRunsBothBranches) {
   int a = 0, b = 0;
   par::run_root_task([&] {
@@ -270,14 +186,9 @@ TEST(Pool, OversubscriptionBeyondHardwareConcurrency) {
   par::set_backend(par::Backend::Pool);
   const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   par::set_threads(4 * hw);
-  auto g = test::rng(41);
-  std::uniform_int_distribution<int> d(-1'000'000, 1'000'000);
-  std::vector<int> xs(150'000);
-  for (auto& x : xs) x = d(g);
-  auto expect = xs;
-  std::sort(expect.begin(), expect.end());
-  par::parallel_sort<int>(xs, std::less<int>{}, /*grain=*/512);
-  EXPECT_EQ(xs, expect);
+  i64 leaves = 0;
+  par::run_root_task([&] { leaves = count_leaves(0, 1 << 14); });
+  EXPECT_EQ(leaves, 1 << 14);
   std::atomic<i64> sum{0};
   par::parallel_for(100'000, [&](i64 i) { sum.fetch_add(i, std::memory_order_relaxed); }, 64);
   EXPECT_EQ(sum.load(), i64{100'000} * 99'999 / 2);
@@ -320,6 +231,33 @@ TEST(Pool, RepeatedResizeIsSafe) {
     std::atomic<i64> n{0};
     par::parallel_for(10'000, [&](i64) { n.fetch_add(1, std::memory_order_relaxed); }, 32);
     EXPECT_EQ(n.load(), 10'000);
+  }
+  par::set_threads(prev_p);
+  par::set_backend(prev);
+}
+
+TEST(Pool, FixedChunkLoopRunsEveryIndexOnce) {
+  // bench/table_e9_slowdown.cpp emulates four classic schedules by fixing
+  // the dynamic loop's chunk: ceil(n/p) (static), 1 (static,1 and
+  // dynamic) and max(1, n/4p) (guided). Each must run every index once.
+  const par::Backend prev = par::backend();
+  const int prev_p = par::max_threads();
+  par::set_backend(par::Backend::Pool);
+  for (const int p : {2, 4}) {
+    par::set_threads(p);
+    for (const i64 n : {200, 2'001}) {
+      for (const i64 chunk : {(n + p - 1) / p, i64{1}, std::max<i64>(1, n / (4 * p))}) {
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+        auto body = [&](i64 i) {
+          hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+        };
+        par::detail::pool_parallel_for(n, body, chunk);
+        for (i64 i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+              << "p=" << p << " n=" << n << " chunk=" << chunk << " i=" << i;
+        }
+      }
+    }
   }
   par::set_threads(prev_p);
   par::set_backend(prev);

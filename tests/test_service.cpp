@@ -4,8 +4,9 @@
 /// counters — to direct solves of the pre-transformed terrain across
 /// algorithms, backends, and thread counts; the engine cache's LRU order,
 /// byte budget, and hit-path identity (including under concurrent acquires:
-/// the tsan preset runs this file); the scoped prepare paths; and the query
-/// server's submit/drain/error/drop behavior.
+/// the tsan preset runs this file); the depth-order transfer; and the query
+/// server's submit/drain/error/drop behavior, with exact reply counters
+/// while other threads prepare engines.
 
 #include <gtest/gtest.h>
 
@@ -215,18 +216,6 @@ TEST(Service, GroundPreservingMissTransfersTheDepthOrder) {
                    "full prepare");
 }
 
-TEST(EngineScoped, PrepareScopedMatchesPrepare) {
-  const Terrain t = make(Family::Valley, 10);
-  HsrEngine plain;
-  plain.prepare(t);
-  HsrEngine scoped;
-  scoped.prepare_scoped(t);
-  for (const Algorithm a : {Algorithm::Parallel, Algorithm::Sequential}) {
-    const HsrOptions opt{.algorithm = a};
-    expect_identical(scoped.solve(opt), plain.solve(opt), algorithm_name(a));
-  }
-}
-
 TEST(EngineScoped, PrepareWithOrderOfRejectsMismatchedTerrains) {
   const Terrain t = make(Family::Fbm, 8);
   // Same topology but a rotated ground projection: the depth order is not
@@ -434,6 +423,42 @@ TEST(QueryServerTest, ServesQueriesBitIdenticalToDirectSolves) {
   EXPECT_EQ(s.dropped, u64{0});
   EXPECT_EQ(s.errors, u64{0});
   EXPECT_GT(server.cache_stats().hits, u64{0});  // repeated viewpoints hit
+}
+
+// Preparing an engine anywhere in the process must leave the work counters
+// of solves running on other threads alone: every reply stays exact while
+// a second thread keeps preparing an unrelated terrain.
+TEST(QueryServerTest, ConcurrentPrepareKeepsReplyCountersExact) {
+  const auto t = make_shared_terrain(Family::Fbm, 24);
+  const HsrOptions opt{.algorithm = Algorithm::Sequential};
+  const Counters want = hidden_surface_removal(*t, opt).stats.work;
+  const Terrain other = make(Family::Fbm, 16, 2);
+
+  constexpr std::size_t kQueries = 512;
+  std::atomic<std::size_t> ok{0}, wrong{0};
+  std::atomic<bool> stop{false};
+  std::thread preparer([&] {
+    HsrEngine engine;
+    while (!stop.load(std::memory_order_relaxed)) engine.prepare(other);
+  });
+  {
+    QueryServer server({.workers = 3});
+    server.add_terrain(1, t);
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      EXPECT_TRUE(server.submit(Query{.terrain_id = 1, .solve = opt, .tag = q},
+                                [&](QueryReply&& r) {
+                                  if (r.status != QueryStatus::Ok) return;
+                                  ++ok;
+                                  if (r.result->stats.work != want) ++wrong;
+                                }));
+    }
+    server.drain();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  preparer.join();
+
+  EXPECT_EQ(ok.load(), kQueries);
+  EXPECT_EQ(wrong.load(), std::size_t{0}) << "replies with wrong work counters";
 }
 
 // Resolution-bounded queries (DESIGN.md section 1.12) flow through the
