@@ -295,10 +295,10 @@ int run_service_cases(CaseMap& cases) {
     const Terrain direct_terrain = service::transform_terrain(*terr, vp);
     const HsrResult direct = hidden_surface_removal(
         direct_terrain, {.algorithm = Algorithm::Parallel, .threads = 2});
-    const HsrOptions scoped{.algorithm = Algorithm::Parallel};
-    const HsrResult cold = cache.acquire(1, vp)->solve_scoped(scoped);
+    const HsrOptions opt{.algorithm = Algorithm::Parallel};
+    const HsrResult cold = cache.acquire(1, vp)->engine().solve(opt);
     bool hit = false;
-    const HsrResult warm = cache.acquire(1, vp, &hit)->solve_scoped(scoped);
+    const HsrResult warm = cache.acquire(1, vp, &hit)->engine().solve(opt);
     failures += expect_same(cold, direct, name, "cold cache solve");
     failures += expect_same(warm, direct, name, "warm cache solve");
     if (!hit) {

@@ -181,10 +181,11 @@ void run_raster_cases(CaseMap& cases, const Config& cfg) {
   }
 }
 
-/// Viewpoint-service solves: warm EngineCache acquire + solve_scoped under
-/// rotated / elevated viewpoints — the query service's steady-state serving
-/// wall clock (the acquire is a cache hit after the harness warmup; the
-/// solve reuses the resident engine's arena).
+/// Viewpoint-service solves: warm EngineCache acquire + a one-thread solve
+/// (what QueryServer workers run) under rotated / elevated viewpoints — the
+/// query service's steady-state serving wall clock (the acquire is a cache
+/// hit after the harness warmup; the solve reuses the resident engine's
+/// arena).
 void run_service_cases(CaseMap& cases, const Config& cfg) {
   const auto terr = std::make_shared<const Terrain>(bench::make(Family::Fbm, 48));
   service::EngineCache cache;
@@ -198,12 +199,9 @@ void run_service_cases(CaseMap& cases, const Config& cfg) {
     for (const Lane& ln : lanes()) {
       const std::string name = std::string("service/fbm/g48/") + v.name + lane_suffix(ln);
       if (!selected(cfg, name)) continue;
-      // solve_scoped inherits the ambient parallel configuration (it must
-      // not install its own — see HsrEngine::solve_scoped).
-      const par::ScopedConfig scope(ln.threads, ln.backend);
-      const HsrOptions opt{.algorithm = Algorithm::Parallel};
+      const HsrOptions opt{.algorithm = Algorithm::Parallel, .threads = 1, .backend = ln.backend};
       const TimedStats s = bench::measure(
-          [&] { (void)cache.acquire(1, v.vp)->solve_scoped(opt); }, cfg.warmup, cfg.reps);
+          [&] { (void)cache.acquire(1, v.vp)->engine().solve(opt); }, cfg.warmup, cfg.reps);
       record(cases, name, s, ln);
     }
   }

@@ -77,8 +77,6 @@ int main() {
                "allocation overhead t_{p,N} small and ~linear in N; dynamic handles skew");
 
   const int p = par::max_threads();
-  const par::Backend prev = par::backend();
-  par::set_backend(par::Backend::Pool);
   Table t({"tasks", "skew", "schedule", "serial_ms", "wall_ms", "ideal_ms", "overhead_ms",
            "efficiency"});
   std::mt19937_64 g{7};
@@ -97,7 +95,6 @@ int main() {
       }
     }
   }
-  par::set_backend(prev);
   t.print_markdown(std::cout);
   t.maybe_write_csv("table_e9_slowdown");
   return 0;

@@ -30,7 +30,7 @@ struct HsrContext {
   std::vector<Seg2> segs;
   std::vector<unsigned char> is_sliver;
   DepthOrder order;
-  std::optional<SeparatorTree> pct;  ///< built lazily on the first Parallel solve
+  std::optional<SeparatorTree> pct;  ///< disengaged only for an edgeless terrain
   u64 n_slivers{0};
 };
 
@@ -53,8 +53,8 @@ struct PhaseScratch {
 /// allocate per call; a warm one hands back the previous solve's arena
 /// blocks and vector capacities, which is where the amortized-solve win of
 /// the session engine comes from (bench micro_engine_reuse). Never shared
-/// between concurrent solves — solve_batch gives every in-flight item its
-/// own Workspace.
+/// between concurrent solves — every solve leases its own from the
+/// engine's pool.
 struct Workspace {
   PArena arena;                        ///< persistent nodes; reset() per solve
   std::vector<Envelope> env;           ///< phase-1 intermediate envelopes

@@ -33,8 +33,7 @@ HsrContext make_context(const Terrain& t) {
     }
   }
   ctx.order = compute_depth_order(t);
-  // ctx.pct stays disengaged: the engine builds it lazily on the first
-  // Parallel solve, so sequential/reference-only sessions never pay for it.
+  if (n > 0) ctx.pct.emplace(n);
   return ctx;
 }
 
@@ -73,8 +72,7 @@ void emit_visible(u32 edge, const QY& a, const QY& b, int initial,
 
 // Back-compat shim: a one-shot call is a session of one — prepare a
 // temporary engine and run a single solve. Bit-identical (map and work
-// counters) to the pre-engine implementation; thread/backend overrides are
-// restored exception-safely by the engine's RAII guard.
+// counters) to the pre-engine implementation.
 HsrResult hidden_surface_removal(const Terrain& t, const HsrOptions& opt) {
   HsrEngine engine;
   engine.prepare(t);

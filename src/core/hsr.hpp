@@ -57,11 +57,11 @@ enum class Phase2Oracle { Persistent, MaterializedScan };
 
 struct HsrOptions {
   Algorithm algorithm{Algorithm::Parallel};
-  int threads{0};                 ///< 0 = current par::max_threads()
+  int threads{0};                 ///< 0 = the calling thread's par::max_threads()
   bool collect_layer_stats{false};  ///< fill HsrStats::layers (Parallel only)
   Phase2Oracle phase2_oracle{Phase2Oracle::Persistent};
-  /// Fork-join executor for this run; nullopt = current par::backend()
-  /// (which honors the THSR_BACKEND environment override). The backend
+  /// Fork-join executor for this run; nullopt = the calling thread's
+  /// par::backend() (which honors the THSR_BACKEND environment override). The backend
   /// never changes the output or the counted work, only wall clock.
   std::optional<par::Backend> backend{};
   /// Resolution-bounded solve (core/bounded.hpp): prune map structure whose

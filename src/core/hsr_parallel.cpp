@@ -237,10 +237,10 @@ VisibilityMap run_parallel(const HsrContext& ctx, Workspace& ws, HsrStats& stats
   inherited.assign(pct.size(), ptreap::Ref{});
   inherited[pct.root()] = ptreap::make_floor(arena);
 
-  // Layer counters: under a SerialRegion (a solve_batch item) the whole
-  // solve runs on this thread, and the thread-local snapshot keeps other
-  // concurrently running batch items out of our per-layer deltas.
-  const bool local_counters = par::serial_forced();
+  // Layer counters follow the engine's rule: a solve that runs entirely on
+  // this thread reads this thread's counters, which keeps concurrent solves
+  // on other threads out of the per-layer deltas.
+  const bool local_counters = par::runs_inline();
   const auto counters_now = [local_counters] {
     return local_counters ? work::local_snapshot() : work::snapshot();
   };

@@ -8,10 +8,11 @@
 /// (the CREW discipline); writes are always to thread-private or freshly
 /// allocated state.
 ///
-/// The backend is chosen *at runtime* (DESIGN.md section 1.1):
-/// `Backend::Serial` runs everything inline, and `Backend::Pool` runs on
-/// the library's work-stealing fork-join pool (src/parallel/pool.hpp), the
-/// one parallel executor. Both execute the identical operation set in the
+/// The backend and worker count are settings of the calling thread, chosen
+/// at runtime (DESIGN.md section 1.1): `Backend::Serial` runs everything
+/// inline, exactly like one worker, and `Backend::Pool` runs on the
+/// library's work-stealing fork-join pool (src/parallel/pool.hpp), the one
+/// parallel executor. Both execute the identical operation set in the
 /// identical reduction structure; only placement differs, which is why
 /// results are bit-identical and the work_depth counters agree exactly
 /// across backends and thread counts (asserted by the determinism tests).
@@ -19,6 +20,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -35,13 +38,10 @@ enum class Backend {
   Pool,    ///< native work-stealing fork-join pool
 };
 
-/// The backend subsequent parallel regions will use. Resolved on first use
-/// from the THSR_BACKEND environment variable ("serial" | "pool");
-/// default: Pool.
+/// The calling thread's backend: its ScopedConfig override, else the
+/// process default, resolved once from the THSR_BACKEND environment
+/// variable ("serial" | "pool"; default Pool).
 Backend backend() noexcept;
-
-/// Select the backend for subsequent parallel regions.
-void set_backend(Backend b) noexcept;
 
 const char* backend_name(Backend b) noexcept;
 
@@ -52,17 +52,19 @@ std::optional<Backend> parse_backend(std::string_view name) noexcept;
 /// benches.
 std::vector<Backend> available_backends();
 
-/// Number of workers the next parallel region will use: the set_threads
-/// value, else std::thread::hardware_concurrency(); 1 in a SerialRegion.
+/// The calling thread's worker count: its ScopedConfig override, else
+/// std::thread::hardware_concurrency() (read once).
 int max_threads() noexcept;
 
-/// Set the worker count for subsequent parallel regions (1 = serial).
-void set_threads(int p) noexcept;
+/// True when parallel primitives called on this thread run inline: its
+/// worker count is 1 or its backend is Serial. A solve started while this
+/// holds runs entirely on its calling thread.
+bool runs_inline() noexcept;
 
-/// RAII scope that applies an optional worker count (`threads > 0`) and an
-/// optional backend, and restores the previous configuration on destruction
-/// — including when the scope unwinds via an exception, so a failing solve
-/// can never leak a modified global executor configuration.
+/// RAII scope that sets the calling thread's worker count (`threads > 0`)
+/// and backend (when given) and restores the thread's previous values on
+/// destruction, also when unwinding. Settings never cross threads: other
+/// threads, pool workers included, keep their own. Nests.
 class ScopedConfig {
  public:
   ScopedConfig(int threads, std::optional<Backend> b) noexcept;
@@ -71,33 +73,15 @@ class ScopedConfig {
   ScopedConfig& operator=(const ScopedConfig&) = delete;
 
  private:
-  int prev_threads_{0};
-  Backend prev_backend_{Backend::Serial};
-  bool restore_threads_{false};
-  bool restore_backend_{false};
-};
-
-/// True while the calling thread is inside a SerialRegion: every parallel
-/// primitive invoked on this thread runs inline.
-bool serial_forced() noexcept;
-
-/// RAII scope that forces all parallel primitives on the calling thread
-/// (and everything it runs) to execute inline until destruction. Batch
-/// drivers fan whole solves out as single tasks under this scope, so each
-/// task stays on its worker — keeping per-task work-counter attribution
-/// exact while tasks themselves still spread across the backend. Nests.
-class SerialRegion {
- public:
-  SerialRegion() noexcept;
-  ~SerialRegion();
-  SerialRegion(const SerialRegion&) = delete;
-  SerialRegion& operator=(const SerialRegion&) = delete;
+  int prev_threads_;
+  std::optional<Backend> prev_backend_;
 };
 
 /// True when called from inside a parallel region.
 bool in_parallel() noexcept;
 
-/// Index of the calling worker in [0, max_threads()).
+/// Index of the calling worker in [0, p), p the worker count of the root
+/// it serves.
 int worker_index() noexcept;
 
 namespace detail {
@@ -156,7 +140,7 @@ void pool_parallel_for(i64 n, F& f, i64 chunk = 0) {
 /// most `grain` iterations run inline.
 template <typename F>
 void parallel_for(i64 n, F&& f, i64 grain = 256) {
-  if (n > grain && max_threads() > 1 && backend() == Backend::Pool && !pool::on_worker()) {
+  if (n > grain && !runs_inline() && !pool::on_worker()) {
     detail::pool_parallel_for(n, f);
     return;
   }
@@ -166,7 +150,7 @@ void parallel_for(i64 n, F&& f, i64 grain = 256) {
 /// Run `f` as the root of a task tree (opens one parallel region).
 template <typename F>
 void run_root_task(F&& f) {
-  if (max_threads() > 1 && backend() == Backend::Pool && !pool::on_worker()) {
+  if (!runs_inline() && !pool::on_worker()) {
     auto root = [&] { f(); };
     pool::Closure<decltype(root)> task(std::move(root));
     pool::run_root(&task, max_threads());
@@ -187,26 +171,39 @@ void fan_items_tree(std::size_t lo, std::size_t hi, F& item);
 /// Fan `n` *independent whole items* out over the current backend as a
 /// balanced binary task tree, one task per item — the dispatch shape of
 /// batch drivers (HsrEngine::solve_batch, shard::ShardedEngine) whose
-/// items are entire solves, typically run under a SerialRegion so each
-/// item stays on its worker for exact per-item counter attribution.
-/// Unlike parallel_for there is no chunking: n is small and items are
-/// coarse. Opens its own root region; degrades to a plain loop when n <= 1,
-/// a single worker is configured, or the caller is already inside a
-/// parallel region.
+/// items are entire solves, each solved at threads = 1 so it stays on its
+/// worker and counts exactly. Unlike parallel_for there is no chunking: n
+/// is small and items are coarse. Opens its own root region; degrades to
+/// a plain loop when n <= 1, this thread runs inline, or the caller is
+/// already inside a parallel region.
 template <typename F>
 void fan_items(std::size_t n, F&& f) {
-  if (n <= 1 || max_threads() <= 1 || in_parallel()) {
+  if (n <= 1 || runs_inline() || in_parallel()) {
     for (std::size_t i = 0; i < n; ++i) f(i);
     return;
   }
-  run_root_task([&] { detail::fan_items_tree(0, n, f); });
+  // Tasks must not throw (pool.hpp): keep the first exception and rethrow
+  // it on the calling thread once every item has finished.
+  std::exception_ptr error;
+  std::mutex error_mu;
+  auto item = [&](std::size_t i) {
+    try {
+      f(i);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lk(error_mu);
+      if (!error) error = std::current_exception();
+    }
+  };
+  run_root_task([&] { detail::fan_items_tree(0, n, item); });
+  if (error) std::rethrow_exception(error);
 }
 
 /// Execute a and b, possibly concurrently; returns after both complete.
-/// Must be called (transitively) from run_root_task for parallelism to occur.
+/// Must be called (transitively) from run_root_task for parallelism to
+/// occur, and forks only while the calling thread does not run inline.
 template <typename A, typename B>
 void fork_join(A&& a, B&& b, bool parallel_ok = true) {
-  if (parallel_ok && !serial_forced() && pool::on_worker()) {
+  if (parallel_ok && !runs_inline() && pool::on_worker()) {
     auto left = [&] { a(); };
     pool::Closure<decltype(left)> task(std::move(left));
     pool::push(&task);

@@ -10,10 +10,10 @@
 /// run_root() lets the first external caller take the pool's caller slot
 /// and run its root as worker 0, with a stealable deque of its own. A
 /// second concurrent external caller injects its root instead and parks
-/// until a pool thread completes it. So `set_threads(p)` bounds total
-/// concurrency by p, except that a resize requested while roots are in
-/// flight is deferred — the old worker count applies until the next quiet
-/// root.
+/// until a pool thread completes it. So the worker count p a root asks for
+/// (par::max_threads() on its calling thread) bounds total concurrency by
+/// p, except that a resize requested while roots are in flight is deferred
+/// — the old worker count applies until the next quiet root.
 ///
 /// The implementation avoids standalone atomic fences so ThreadSanitizer
 /// can reason about every synchronization edge (the tsan CI preset runs

@@ -88,9 +88,9 @@ inline void count(Op op, u64 n = 1) noexcept {
 Counters snapshot() noexcept;
 
 /// The calling thread's counters only. Deltas of this are exact for work
-/// that ran entirely on the calling thread (e.g. a batched solve inside a
-/// par::SerialRegion), and are immune to ops counted concurrently by other
-/// threads — which global snapshot() deltas are not.
+/// that ran entirely on the calling thread (e.g. a solve at threads = 1),
+/// and are immune to ops counted concurrently by other threads — which
+/// global snapshot() deltas are not.
 Counters local_snapshot() noexcept;
 
 /// Zero all threads' counters. Only for single-threaded drivers: a thread

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/check.hpp"
-
 namespace thsr::raster {
 namespace {
 
@@ -60,11 +58,8 @@ bool column_segment(const Terrain& t, u32 ti, const QY& y0, ColumnSegment& out) 
 }  // namespace
 
 ImageRaster raycast_reference(const Terrain& t, const RasterOptions& opt) {
-  THSR_CHECK(opt.width >= 1 && opt.height >= 1 && opt.supersample >= 1);
-  THSR_CHECK(u64{opt.width} * opt.supersample <= kMaxRasterAxis);
-  THSR_CHECK(u64{opt.height} * opt.supersample <= kMaxRasterAxis);
+  validate(opt);
   const ImageWindow win = opt.window ? *opt.window : default_window(t);
-  THSR_CHECK(win.y_lo < win.y_hi && win.z_lo < win.z_hi);
   const par::ScopedConfig cfg(opt.threads, opt.backend);
 
   const u32 W = opt.width, H = opt.height, s = opt.supersample;

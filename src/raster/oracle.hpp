@@ -31,6 +31,7 @@ namespace thsr::raster {
 /// Ray-cast `t` at the resolution/window of `opt` (same defaults as
 /// rasterize). The returned raster's `crossings` stat is 0 — the oracle
 /// scans no visible pieces.
+/// \throws std::invalid_argument when `opt` fails validate().
 ImageRaster raycast_reference(const Terrain& t, const RasterOptions& opt = {});
 
 }  // namespace thsr::raster

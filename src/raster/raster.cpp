@@ -1,6 +1,7 @@
 #include "raster/raster.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "support/check.hpp"
 
@@ -164,10 +165,10 @@ void scan_sub_column(const ColumnSet& cs, const ImageWindow& w, u32 width, u32 h
   }
 }
 
-void check_options(const RasterOptions& opt) {
-  THSR_CHECK(opt.width >= 1 && opt.height >= 1 && opt.supersample >= 1);
-  THSR_CHECK(u64{opt.width} * opt.supersample <= kMaxRasterAxis);
-  THSR_CHECK(u64{opt.height} * opt.supersample <= kMaxRasterAxis);
+void check_window(const ImageWindow& w) {
+  if (!(w.y_lo < w.y_hi && w.z_lo < w.z_hi)) {
+    throw std::invalid_argument("raster: the window needs y_lo < y_hi and z_lo < z_hi");
+  }
 }
 
 /// The shared engine behind rasterize / rasterize_sharded: fans output
@@ -176,8 +177,6 @@ void check_options(const RasterOptions& opt) {
 /// counters are bit-identical across backends and thread counts.
 ImageRaster rasterize_impl(std::vector<ColumnSet> sets, const RasterOptions& opt,
                            const ImageWindow& win) {
-  check_options(opt);
-  THSR_CHECK(win.y_lo < win.y_hi && win.z_lo < win.z_hi);
   const par::ScopedConfig cfg(opt.threads, opt.backend);
 
   const u32 W = opt.width, H = opt.height, s = opt.supersample;
@@ -236,6 +235,18 @@ ImageRaster rasterize_impl(std::vector<ColumnSet> sets, const RasterOptions& opt
 
 }  // namespace
 
+void validate(const RasterOptions& opt) {
+  if (opt.width < 1 || opt.height < 1 || opt.supersample < 1) {
+    throw std::invalid_argument("raster: width, height and supersample must be >= 1");
+  }
+  if (u64{opt.width} * opt.supersample > kMaxRasterAxis ||
+      u64{opt.height} * opt.supersample > kMaxRasterAxis) {
+    throw std::invalid_argument(
+        "raster: width and height times supersample must be <= kMaxRasterAxis");
+  }
+  if (opt.window) check_window(*opt.window);
+}
+
 ImageWindow default_window(const Terrain& t) {
   ImageWindow w;
   w.y_lo = t.min_y();
@@ -256,10 +267,8 @@ ImageWindow default_window(const Terrain& t) {
 }
 
 PixelBudget pixel_budget(const Terrain& t, const RasterOptions& opt) {
-  THSR_CHECK(opt.width >= 1 && opt.supersample >= 1);
-  THSR_CHECK(u64{opt.width} * opt.supersample <= kMaxRasterAxis);
+  validate(opt);
   const ImageWindow win = opt.window ? *opt.window : default_window(t);
-  THSR_CHECK(win.y_lo < win.y_hi);
   return PixelBudget{win.y_lo, win.y_hi, opt.width * opt.supersample};
 }
 
@@ -294,7 +303,7 @@ std::optional<double> plane_depth(const Terrain& t, u32 tri, const QY& y, const 
 }
 
 ImageRaster rasterize(const Terrain& t, const VisibilityMap& m, const RasterOptions& opt) {
-  check_options(opt);
+  validate(opt);
   THSR_CHECK(m.edge_slots() == t.edge_count());
   const ImageWindow win = opt.window ? *opt.window : default_window(t);
   std::vector<ColumnSet> sets(1);
@@ -308,7 +317,7 @@ ImageRaster rasterize(const Terrain& t, const VisibilityMap& m, const RasterOpti
 ImageRaster rasterize_sharded(const shard::ShardPlan& plan,
                               std::span<const VisibilityMap* const> slab_maps,
                               const RasterOptions& opt) {
-  check_options(opt);
+  validate(opt);
   THSR_CHECK(plan.source != nullptr && slab_maps.size() == plan.slabs.size());
   const ImageWindow win = opt.window ? *opt.window : default_window(*plan.source);
   // The slab owning sub-column i is the unique s with cuts[s] <= y_i <
@@ -355,8 +364,8 @@ u32 first_sub(const ImageWindow& w, u32 width, u32 supersample, i64 cut, bool st
 
 BandScan scan_band(const Terrain* t, const VisibilityMap* m, const std::vector<u32>* tri_map,
                    const ImageWindow& win, const RasterOptions& opt, u32 sub_lo, u32 sub_hi) {
-  check_options(opt);
-  THSR_CHECK(win.y_lo < win.y_hi && win.z_lo < win.z_hi);
+  validate(opt);
+  check_window(win);
   THSR_CHECK(sub_lo <= sub_hi && sub_hi <= opt.width * opt.supersample);
   const u32 H = opt.height, s = opt.supersample;
   const std::size_t hs = std::size_t{H} * s;

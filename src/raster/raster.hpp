@@ -86,9 +86,9 @@ struct RasterOptions {
   /// extents so sample ordinates avoid the integer lattice). Sharded and
   /// monolithic rasterizations of the same terrain use the same default.
   std::optional<ImageWindow> window{};
-  int threads{0};       ///< worker override; 0 = current par::max_threads()
-  /// Fork-join executor for this rasterization; nullopt = current
-  /// par::backend(). Never changes the output, only wall clock.
+  int threads{0};       ///< worker override; 0 = the calling thread's par::max_threads()
+  /// Fork-join executor for this rasterization; nullopt = the calling
+  /// thread's par::backend(). Never changes the output, only wall clock.
   std::optional<par::Backend> backend{};
 };
 
@@ -117,6 +117,13 @@ struct ImageRaster {
   float coverage_at(u32 row, u32 col) const { return coverage[std::size_t{row} * width + col]; }
 };
 
+/// Throws std::invalid_argument unless `opt` can be rasterized: width,
+/// height and supersample >= 1, width and height times supersample <=
+/// kMaxRasterAxis, and — when set — a window with y_lo < y_hi and
+/// z_lo < z_hi. The one check of raster options: every entry point below,
+/// raycast_reference and stream::stream_solve run it before any work.
+void validate(const RasterOptions& opt);
+
 /// The terrain's full image-plane bounding window, padded (hi side) to
 /// odd y/z extents so that no sample ordinate of any resolution is an
 /// integer — keeping every column clear of vertices and slivers, which
@@ -134,7 +141,7 @@ QY sample_y(const ImageWindow& w, u32 width, u32 supersample, u32 i);
 /// default_window like rasterize does): plug it into
 /// HsrOptions::pixel_budget and the bounded solve's raster at these options
 /// is bitwise identical to the exact solve's (DESIGN.md section 1.12).
-/// Validates resolution bounds like rasterize (THSR_CHECK).
+/// \throws std::invalid_argument when `opt` fails validate().
 PixelBudget pixel_budget(const Terrain& t, const RasterOptions& opt);
 
 /// Exact sample ordinate of image sub-row `j` in [0, height*s), counted
@@ -153,6 +160,7 @@ std::optional<double> plane_depth(const Terrain& t, u32 tri, const QY& y, const 
 /// O(k + W·s·(X log X + H·s)) where X is the mean number of visible
 /// crossings per column — output-sensitive in the visible scene, never
 /// in n.
+/// \throws std::invalid_argument when `opt` fails validate().
 ImageRaster rasterize(const Terrain& t, const VisibilityMap& m, const RasterOptions& opt = {});
 
 /// Rasterize from *unstitched* per-slab maps (`slab_maps[i]` indexed by
@@ -161,6 +169,7 @@ ImageRaster rasterize(const Terrain& t, const VisibilityMap& m, const RasterOpti
 /// own disjoint band of image columns; the result — ids translated to
 /// source-triangle ids via SlabTerrain::global_tri — is bit-identical to
 /// `rasterize` of the monolithic solve with the same options.
+/// \throws std::invalid_argument when `opt` fails validate().
 ImageRaster rasterize_sharded(const shard::ShardPlan& plan,
                               std::span<const VisibilityMap* const> slab_maps,
                               const RasterOptions& opt = {});
@@ -194,6 +203,8 @@ struct BandScan {
 /// thread counts, and — summed over any banding of the image under the
 /// same window — bit-identical to the counters and samples `rasterize`
 /// produces monolithically (tests/test_stream.cpp).
+/// \throws std::invalid_argument when `opt` fails validate() or `win`
+///         has no positive extent on both axes.
 BandScan scan_band(const Terrain* t, const VisibilityMap* m, const std::vector<u32>* tri_map,
                    const ImageWindow& win, const RasterOptions& opt, u32 sub_lo, u32 sub_hi);
 

@@ -29,9 +29,7 @@ struct KeyHash {
 
 /// The one place PreparedView instances are assembled: resolves the reuse
 /// ladder (canonical frame: no transform copy; ground-preserving with a
-/// resident base: depth-order transfer; otherwise full prepare) and
-/// pre-builds the PCT so the finished view is safe for concurrent
-/// solve_scoped callers.
+/// resident base: depth-order transfer; otherwise full prepare).
 struct PreparedViewBuilder {
   static std::shared_ptr<PreparedView> build(u64 id, const Viewpoint& cvp,
                                              std::shared_ptr<const Terrain> source,
@@ -53,7 +51,6 @@ struct PreparedViewBuilder {
         v->engine_.prepare(*v->view_terrain_);
       }
     }
-    v->engine_.ensure_parallel_ready();
     return v;
   }
 };

@@ -25,9 +25,8 @@
 /// Thread-safe: lookups, builds, and evictions may run concurrently from
 /// any number of threads (the query-server workers). Builds of distinct
 /// keys proceed in parallel; concurrent requests for the same key build
-/// once and share. Returned leases are safe for concurrent solve_scoped
-/// use because entries are published only after the PCT pre-build
-/// (HsrEngine::ensure_parallel_ready).
+/// once and share. Returned leases are safe for concurrent solves, as
+/// every prepared HsrEngine is.
 
 #include <memory>
 #include <mutex>
@@ -41,7 +40,7 @@ namespace thsr::service {
 
 /// A prepared (terrain, viewpoint) pair leased out of the cache. Immutable
 /// after construction except for the engine's internal solve state;
-/// concurrent solve_scoped() calls are safe (see file comment).
+/// concurrent engine().solve() calls are safe (see file comment).
 class PreparedView {
  public:
   /// The terrain this engine was prepared on: the source terrain for the
@@ -50,15 +49,9 @@ class PreparedView {
   const Viewpoint& viewpoint() const noexcept { return viewpoint_; }  ///< canonical form
   u64 terrain_id() const noexcept { return terrain_id_; }             ///< owning terrain id
 
-  /// The prepared engine. solve_scoped() is safe from any thread; solve()
-  /// with explicit threads/backend is for single-caller use (tests,
-  /// cross-checks).
+  /// The prepared engine; solve() is safe from any thread and is
+  /// bit-identical to a direct solve of the pre-transformed terrain.
   HsrEngine& engine() noexcept { return engine_; }
-
-  /// Solve this view on the calling thread (a par::SerialRegion) — the
-  /// query-server worker path. Bit-identical to a direct solve of the
-  /// pre-transformed terrain.
-  HsrResult solve_scoped(const HsrOptions& opt = {}) { return engine_.solve_scoped(opt); }
 
   /// True when preparation transferred the depth order from the resident
   /// canonical-frame entry instead of recomputing it (introspection; the
@@ -114,8 +107,8 @@ class EngineCache {
   bool has_terrain(u64 id) const;
 
   /// A lease on the prepared engine for (terrain, viewpoint): resident =>
-  /// O(1) plus a footprint re-sample; miss => transform + prepare + PCT
-  /// build on the calling thread (same-key callers wait and share, other
+  /// O(1) plus a footprint re-sample; miss => transform + prepare on the
+  /// calling thread (same-key callers wait and share, other
   /// keys proceed concurrently). The lease pins the entry across eviction.
   /// Throws std::invalid_argument on an unregistered id, a degenerate
   /// viewpoint, or one whose transform exceeds the kMaxCoord width budget.

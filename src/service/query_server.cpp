@@ -59,8 +59,10 @@ struct QueryServer::Impl {
       }
       const std::shared_ptr<PreparedView> view =
           cache.acquire(item.query.terrain_id, item.query.viewpoint, &reply.cache_hit);
+      HsrOptions opt = item.query.solve;
+      opt.threads = 1;  // the solve stays on this worker
       const Clock::time_point solve_start = Clock::now();
-      reply.result = view->solve_scoped(item.query.solve);
+      reply.result = view->engine().solve(opt);
       reply.solve_ns = ns_between(solve_start, Clock::now());
     } catch (const std::exception& e) {
       reply.status = QueryStatus::Error;

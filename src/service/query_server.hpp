@@ -13,11 +13,11 @@
 /// Architecture: submit() enqueues into a bounded multi-producer queue and
 /// returns immediately (or blocks / drops when full, by configuration);
 /// worker threads pop queries, lease the (terrain, viewpoint) engine from
-/// the shared EngineCache, and run the solve entirely on their own thread
-/// via HsrEngine::solve_scoped — the same per-item discipline as
-/// solve_batch's fan-out, so per-query work counters are exact and
-/// replies are bit-identical to a direct solve of the pre-transformed
-/// terrain no matter which worker served them or how hot the cache was.
+/// the shared EngineCache, and solve at threads = 1, entirely on their own
+/// thread — the same per-item discipline as solve_batch's fan-out, so
+/// per-query work counters are exact and replies are bit-identical to a
+/// direct solve of the pre-transformed terrain no matter which worker
+/// served them or how hot the cache was.
 /// Queries are the unit of parallelism: each solve runs serially, and
 /// throughput scales with the worker count instead of splitting one
 /// solve's already-subsecond critical path.

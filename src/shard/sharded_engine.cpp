@@ -35,11 +35,12 @@ void ShardedEngine::prepare(const Terrain& t, u32 slabs) {
   im.plan = decompose(t, slabs);
   im.engines.clear();
   im.engines.resize(slabs);
-  for (u32 s = 0; s < slabs; ++s) {
-    if (im.plan.slabs[s].terrain.edge_count() == 0) continue;  // empty slab: nothing to solve
+  // Each prepare() runs inline on its worker and counts on that thread.
+  par::fan_items(slabs, [&](std::size_t s) {
+    if (im.plan.slabs[s].terrain.edge_count() == 0) return;  // empty slab: nothing to solve
     im.engines[s] = std::make_unique<HsrEngine>();
     im.engines[s]->prepare(im.plan.slabs[s].terrain);
-  }
+  });
   im.n_slivers = 0;
   for (u32 e = 0; e < t.edge_count(); ++e) im.n_slivers += t.is_sliver(e);
   im.prepare_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -61,15 +62,13 @@ std::vector<std::optional<HsrResult>> ShardedEngine::solve_slabs(const HsrOption
   Impl& im = *impl_;
   THSR_CHECK(im.prepared);
   const par::ScopedConfig cfg(opt.threads, opt.backend);
-
-  HsrOptions slab_opt = opt;  // the fan-out owns the executor configuration
-  slab_opt.threads = 0;
-  slab_opt.backend.reset();
+  HsrOptions slab_opt = opt;
+  slab_opt.threads = 1;  // each slab solves on its worker
 
   const std::size_t S = im.engines.size();
   std::vector<std::optional<HsrResult>> per(S);
   par::fan_items(S, [&](std::size_t s) {
-    if (im.engines[s]) per[s] = im.engines[s]->solve_scoped(slab_opt);
+    if (im.engines[s]) per[s] = im.engines[s]->solve(slab_opt);
   });
   return per;
 }

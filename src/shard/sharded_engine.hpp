@@ -24,7 +24,7 @@
 /// monolithic convention); `k_*` are measured on the stitched map;
 /// `layers` stays empty — per-slab layer schedules do not align; inspect
 /// single-slab solves for that detail. An engine instance is not
-/// thread-safe; solve() parallelizes internally.
+/// thread-safe; prepare() and solve() parallelize internally.
 
 #include <memory>
 
@@ -43,9 +43,9 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   /// Decompose `t` into `slabs` y-slabs and prepare one session engine per
-  /// non-empty slab (sequentially: the scaling axis is the repeated
-  /// solve). Fully evicts any previously prepared terrain. The terrain must
-  /// outlive every solve.
+  /// non-empty slab, fanned over the calling thread's backend like the
+  /// solves. Fully evicts any previously prepared terrain. The terrain
+  /// must outlive every solve.
   void prepare(const Terrain& t, u32 slabs);
 
   bool prepared() const noexcept;
@@ -56,7 +56,7 @@ class ShardedEngine {
   const ShardPlan& plan() const;
 
   /// Solve every slab with `opt` — fanned over the fork-join backend, one
-  /// task per slab, each under a par::SerialRegion (solve_batch-style
+  /// task per slab, each solved at threads = 1 (solve_batch-style
   /// dispatch) — and stitch the per-slab maps. `opt.threads`/`opt.backend`
   /// configure the fan-out exactly as they would a monolithic solve;
   /// `opt.collect_layer_stats` is accepted but the stitched result keeps

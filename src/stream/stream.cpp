@@ -84,10 +84,12 @@ void AscFileRowSource::read_rows(u32 row_lo, u32 row_hi, std::span<double> out) 
 void AscFileRowSource::reset() { reader_->reset(); }
 
 StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sink) {
-  THSR_CHECK(opt.resident_slabs >= 1);
-  THSR_CHECK(opt.width >= 1 && opt.height >= 1 && opt.supersample >= 1);
-  THSR_CHECK(u64{opt.width} * opt.supersample <= raster::kMaxRasterAxis);
-  THSR_CHECK(u64{opt.height} * opt.supersample <= raster::kMaxRasterAxis);
+  if (opt.resident_slabs == 0) throw std::invalid_argument("stream: resident_slabs must be >= 1");
+  raster::RasterOptions ropt;
+  ropt.width = opt.width;
+  ropt.height = opt.height;
+  ropt.supersample = opt.supersample;
+  raster::validate(ropt);
 
   const u32 R = src.rows(), C = src.cols();
   if (R < 2 || C < 2) fail("grid too small to triangulate (need >= 2x2)");
@@ -140,18 +142,13 @@ StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sin
   const std::size_t hs = std::size_t{H} * sup;
   stats.samples = u64{W} * sup * H * sup;
 
-  raster::RasterOptions ropt;
-  ropt.width = W;
-  ropt.height = H;
-  ropt.supersample = sup;
   ropt.window = window;  // never consulted by scan_band (window passed explicitly)
 
   // The whole run executes under one executor configuration; per-slab
-  // solves and scans run scoped inside it (the ShardedEngine convention).
+  // solves run at one thread inside it (the ShardedEngine convention).
   const par::ScopedConfig cfg(opt.solve.threads, opt.solve.backend);
   HsrOptions slab_opt = opt.solve;
-  slab_opt.threads = 0;
-  slab_opt.backend.reset();
+  slab_opt.threads = 1;
 
   // Sub-column carry across band boundaries: when a boundary splits a
   // pixel column's `sup` sub-columns, the already-scanned ones wait here
@@ -225,11 +222,11 @@ StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sin
       if (!sl.build.empty()) engines[gi]->prepare(sl.build.terrain);
     }
 
-    // Fan the group's solves — one scoped solve per engine, the same
+    // Fan the group's solves — one threads = 1 solve per engine, the same
     // shape for every budget, so counters cannot depend on B.
     par::fan_items(gn, [&](std::size_t gi) {
       Slab& sl = group[gi];
-      if (!sl.build.empty()) sl.result = engines[gi]->solve_scoped(slab_opt);
+      if (!sl.build.empty()) sl.result = engines[gi]->solve(slab_opt);
     });
     for (u32 gi = 0; gi < gn; ++gi) {
       const u64 fp = engines[gi]->arena_footprint_bytes();

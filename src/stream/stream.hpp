@@ -124,8 +124,8 @@ struct StreamOptions {
   u32 height{192};     ///< output pixel rows
   u32 supersample{1};  ///< samples per pixel axis
   /// Per-slab solve configuration. threads/backend scope the *group* fan
-  /// (ShardedEngine convention); the per-slab solves themselves run
-  /// scoped on their workers.
+  /// (ShardedEngine convention); the per-slab solves themselves run at
+  /// threads = 1 on their workers.
   HsrOptions solve{};
 };
 
@@ -158,10 +158,11 @@ struct StreamStats {
   i64 z_lo{0}, z_hi{0};          ///< quantized height range used
 };
 
-/// Run the pipeline: solve + rasterize `src` into `sink`. Throws
-/// std::runtime_error on malformed input, coordinate-budget or
-/// resident-budget violations; THSR_CHECK rejects resident_slabs == 0 and
-/// raster dimensions outside the kMaxRasterAxis cap.
+/// Run the pipeline: solve + rasterize `src` into `sink`.
+/// \throws std::invalid_argument, before reading any row, when
+///         resident_slabs == 0 or the raster dimensions fail
+///         raster::validate; std::runtime_error on malformed input,
+///         coordinate-budget or resident-budget violations.
 StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sink);
 
 /// Convenience: stream straight out of an .asc file.

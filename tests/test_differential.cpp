@@ -152,7 +152,7 @@ TEST(Differential, EngineVsShim) {
     service::EngineCache cache;
     cache.add_terrain(1, std::make_shared<Terrain>(t));
     auto lease = cache.acquire(1, tu.viewpoint);
-    const HsrResult served = lease->solve_scoped(solve_opt(tu, /*with_executor=*/false));
+    const HsrResult served = lease->engine().solve(solve_opt(tu, /*with_executor=*/false));
     const HsrResult direct =
         hidden_surface_removal(lease->view_terrain(), solve_opt(tu, false));
     EXPECT_FALSE(served.map.first_difference(direct.map).has_value());

@@ -3,11 +3,17 @@
 /// hidden_surface_removal() with the same options, across all algorithms,
 /// both phase-2 oracles, and every available backend; solve_batch matches a
 /// sequential loop; prepare() on a second terrain fully evicts the first;
-/// and warm solves recycle arena blocks instead of allocating.
+/// warm solves recycle arena blocks instead of allocating; concurrent
+/// callers share one prepared engine; and executor settings stay on the
+/// thread that set them.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "terrain/generators.hpp"
@@ -156,11 +162,50 @@ TEST(Engine, SolveRequiresPrepare) {
   EXPECT_DEATH((void)engine.solve(), "prepared");
 }
 
+// Four threads share one freshly prepared engine — no warm-up solve, no
+// pre-build call. Every solve leases its own workspace and, at threads = 1,
+// counts from its own thread, so every map and counter set equals a
+// one-shot solve's.
+TEST(Engine, ConcurrentSolvesShareOnePreparedEngine) {
+  const Terrain t = make(Family::Fbm, 12, 5);
+  const HsrOptions opt{.algorithm = Algorithm::Parallel, .threads = 1};
+  const HsrResult want = hidden_surface_removal(t, opt);
+  HsrEngine engine;
+  engine.prepare(t);
+  constexpr int kThreads = 4, kSolves = 25;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kThreads; ++c) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < kSolves; ++i) {
+        const HsrResult got = engine.solve(opt);
+        if (want.map.first_difference(got.map).has_value() ||
+            !(got.stats.work == want.stats.work) || got.stats.k_pieces != want.stats.k_pieces ||
+            got.stats.treap_nodes != want.stats.treap_nodes ||
+            got.stats.phase1_pieces != want.stats.phase1_pieces) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& th : callers) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(ScopedConfig, RestoresThreadsAndBackendOnUnwind) {
   const int threads0 = par::max_threads();
   const par::Backend backend0 = par::backend();
   try {
     const par::ScopedConfig cfg(threads0 + 3, par::Backend::Pool);
+    EXPECT_EQ(par::max_threads(), threads0 + 3);
+    EXPECT_EQ(par::backend(), par::Backend::Pool);
+    {
+      // Nested scopes restore the enclosing scope's values, not the default.
+      const par::ScopedConfig nested(1, par::Backend::Serial);
+      EXPECT_EQ(par::max_threads(), 1);
+      EXPECT_EQ(par::backend(), par::Backend::Serial);
+      EXPECT_TRUE(par::runs_inline());
+    }
     EXPECT_EQ(par::max_threads(), threads0 + 3);
     EXPECT_EQ(par::backend(), par::Backend::Pool);
     throw std::runtime_error("mid-solve failure");
@@ -170,31 +215,46 @@ TEST(ScopedConfig, RestoresThreadsAndBackendOnUnwind) {
   EXPECT_EQ(par::backend(), backend0);
 }
 
-TEST(ScopedConfig, SnapshotsConfiguredThreadsNotSerialRegionMask) {
+// Thread A opens a scope, thread B opens another, A closes, B closes — the
+// interleaving under which process-wide settings would leave A's worker
+// count behind for every thread. Each scope governs only its own thread.
+TEST(ScopedConfig, StaysOnItsThread) {
   const int threads0 = par::max_threads();
-  {
-    const par::SerialRegion serial;
-    ASSERT_EQ(par::max_threads(), 1);
-    // Must capture the *configured* count, not the masked 1 — otherwise the
-    // restore below would pin the global worker count to 1.
-    const par::ScopedConfig cfg(4, std::nullopt);
-  }
-  EXPECT_EQ(par::max_threads(), threads0);
-}
-
-TEST(SerialRegion, ForcesInlineExecutionOnThisThread) {
-  EXPECT_FALSE(par::serial_forced());
-  {
-    const par::SerialRegion serial;
-    EXPECT_TRUE(par::serial_forced());
-    EXPECT_EQ(par::max_threads(), 1);
+  const par::Backend backend0 = par::backend();
+  std::latch a_open(1), b_open(1), a_closed(1);
+  int a_saw = 0, b_saw = 0, b_after = 0;
+  std::thread a([&] {
     {
-      const par::SerialRegion nested;
-      EXPECT_TRUE(par::serial_forced());
+      const par::ScopedConfig cfg(threads0 + 1, par::Backend::Pool);
+      a_saw = par::max_threads();
+      a_open.count_down();
+      b_open.wait();
     }
-    EXPECT_TRUE(par::serial_forced());
-  }
-  EXPECT_FALSE(par::serial_forced());
+    a_closed.count_down();
+  });
+  std::thread b([&] {
+    a_open.wait();
+    {
+      const par::ScopedConfig cfg(threads0 + 2, par::Backend::Serial);
+      b_saw = par::max_threads();
+      b_open.count_down();
+      a_closed.wait();
+      b_after = par::max_threads();
+    }
+  });
+  a_open.wait();
+  EXPECT_EQ(par::max_threads(), threads0);  // A's scope is not the main thread's
+  EXPECT_EQ(par::backend(), backend0);
+  b_open.wait();
+  EXPECT_EQ(par::max_threads(), threads0);
+  EXPECT_EQ(par::backend(), backend0);
+  a.join();
+  b.join();
+  EXPECT_EQ(a_saw, threads0 + 1);
+  EXPECT_EQ(b_saw, threads0 + 2);
+  EXPECT_EQ(b_after, threads0 + 2);  // A closing did not touch B's scope
+  EXPECT_EQ(par::max_threads(), threads0);
+  EXPECT_EQ(par::backend(), backend0);
 }
 
 }  // namespace

@@ -92,10 +92,10 @@ TEST(Envelope, ParallelBuildEqualsSerial) {
   const auto segs = test::random_segments(77, 4000, 5000);
   const auto ids = test::iota_ids(segs.size());
   const Envelope serial = envelope_of(ids, segs, /*parallel=*/false);
-  const int prev = par::max_threads();
-  par::set_threads(2);
-  const Envelope parallel = envelope_of(ids, segs, /*parallel=*/true);
-  par::set_threads(prev);
+  const Envelope parallel = [&] {
+    const par::ScopedConfig cfg(2, std::nullopt);
+    return envelope_of(ids, segs, /*parallel=*/true);
+  }();
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial.piece(i).edge, parallel.piece(i).edge);

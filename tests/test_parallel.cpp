@@ -27,22 +27,11 @@ i64 count_leaves(i64 lo, i64 hi) {
   return a + b;
 }
 
-/// Fixture selecting a (backend, thread count) pair for the test body and
-/// restoring the previous configuration afterwards.
+/// Fixture selecting a (backend, thread count) pair for the test body's
+/// thread; the scope restores the previous settings afterwards.
 class ParallelP : public ::testing::TestWithParam<std::tuple<par::Backend, int>> {
  protected:
-  void SetUp() override {
-    prev_threads_ = par::max_threads();
-    prev_backend_ = par::backend();
-    par::set_backend(std::get<0>(GetParam()));
-    par::set_threads(std::get<1>(GetParam()));
-  }
-  void TearDown() override {
-    par::set_threads(prev_threads_);
-    par::set_backend(prev_backend_);
-  }
-  int prev_threads_{1};
-  par::Backend prev_backend_{par::Backend::Serial};
+  const par::ScopedConfig cfg_{std::get<1>(GetParam()), std::get<0>(GetParam())};
 };
 
 TEST_P(ParallelP, ParallelForCoversAllIndices) {
@@ -114,15 +103,10 @@ TEST(WorkDepth, CountersAccumulateAcrossThreads) {
 TEST(WorkDepth, CountersSeePoolWorkerThreads) {
   // Pool workers register their thread-local buckets lazily on first
   // count(); snapshot() must see work done on them.
-  const par::Backend prev = par::backend();
-  const int prev_p = par::max_threads();
-  par::set_backend(par::Backend::Pool);
-  par::set_threads(4);
+  const par::ScopedConfig cfg(4, par::Backend::Pool);
   work::reset();
   par::parallel_for(50'000, [&](i64) { work::count(Op::OracleStep); }, 16);
   EXPECT_EQ(work::snapshot()[Op::OracleStep], 50'000u);
-  par::set_threads(prev_p);
-  par::set_backend(prev);
 }
 
 TEST(Backend, ForkJoinRunsBothBranches) {
@@ -135,10 +119,8 @@ TEST(Backend, ForkJoinRunsBothBranches) {
 }
 
 TEST(Backend, ThreadControl) {
-  const int prev = par::max_threads();
-  par::set_threads(3);
+  const par::ScopedConfig cfg(3, std::nullopt);
   EXPECT_EQ(par::max_threads(), 3);
-  par::set_threads(prev);
 }
 
 TEST(Backend, NamesParseAndSelection) {
@@ -149,23 +131,18 @@ TEST(Backend, NamesParseAndSelection) {
   EXPECT_EQ(par::parse_backend("pool"), Backend::Pool);
   EXPECT_EQ(par::parse_backend("POOL"), std::nullopt);
   EXPECT_EQ(par::parse_backend(""), std::nullopt);
-  const Backend prev = par::backend();
   for (const par::Backend b : par::available_backends()) {
-    par::set_backend(b);
+    const par::ScopedConfig cfg(0, b);
     EXPECT_EQ(par::backend(), b);
   }
-  par::set_backend(prev);
 }
 
 TEST(Backend, SetThreadsOneIsStrictlySerial) {
-  // The contract `set_threads(1) == serial execution on the calling thread`
+  // The contract `threads = 1 == serial execution on the calling thread`
   // must hold on every backend: no region is opened, no worker touched.
-  const par::Backend prev = par::backend();
-  const int prev_p = par::max_threads();
   const auto self = std::this_thread::get_id();
   for (const par::Backend b : par::available_backends()) {
-    par::set_backend(b);
-    par::set_threads(1);
+    const par::ScopedConfig cfg(1, b);
     int on_other_thread = 0;
     par::parallel_for(10'000, [&](i64) {
       if (std::this_thread::get_id() != self || par::in_parallel()) ++on_other_thread;
@@ -176,31 +153,22 @@ TEST(Backend, SetThreadsOneIsStrictlySerial) {
     });
     EXPECT_EQ(on_other_thread, 0) << par::backend_name(b);
   }
-  par::set_threads(prev_p);
-  par::set_backend(prev);
 }
 
 TEST(Pool, OversubscriptionBeyondHardwareConcurrency) {
-  const par::Backend prev = par::backend();
-  const int prev_p = par::max_threads();
-  par::set_backend(par::Backend::Pool);
   const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  par::set_threads(4 * hw);
+  const par::ScopedConfig cfg(4 * hw, par::Backend::Pool);
   i64 leaves = 0;
   par::run_root_task([&] { leaves = count_leaves(0, 1 << 14); });
   EXPECT_EQ(leaves, 1 << 14);
   std::atomic<i64> sum{0};
   par::parallel_for(100'000, [&](i64 i) { sum.fetch_add(i, std::memory_order_relaxed); }, 64);
   EXPECT_EQ(sum.load(), i64{100'000} * 99'999 / 2);
-  par::set_threads(prev_p);
-  par::set_backend(prev);
 }
 
 TEST(Pool, WorkerIdentityInsideRegions) {
-  const par::Backend prev = par::backend();
-  const int prev_p = par::max_threads();
-  par::set_backend(par::Backend::Pool);
-  par::set_threads(4);
+  constexpr int kWorkers = 4;
+  const par::ScopedConfig cfg(kWorkers, par::Backend::Pool);
   EXPECT_FALSE(par::in_parallel());
   const auto self = std::this_thread::get_id();
   std::atomic<int> bad{0};
@@ -213,38 +181,28 @@ TEST(Pool, WorkerIdentityInsideRegions) {
       1'000,
       [&](i64) {
         const int w = par::worker_index();
-        if (!par::in_parallel() || w < 0 || w >= par::max_threads()) bad.fetch_add(1);
+        if (!par::in_parallel() || w < 0 || w >= kWorkers) bad.fetch_add(1);
       },
       1);
   EXPECT_FALSE(par::in_parallel());
   EXPECT_EQ(bad.load(), 0);
-  par::set_threads(prev_p);
-  par::set_backend(prev);
 }
 
 TEST(Pool, RepeatedResizeIsSafe) {
-  const par::Backend prev = par::backend();
-  const int prev_p = par::max_threads();
-  par::set_backend(par::Backend::Pool);
   for (const int p : {2, 4, 1, 3, 2}) {
-    par::set_threads(p);
+    const par::ScopedConfig cfg(p, par::Backend::Pool);
     std::atomic<i64> n{0};
     par::parallel_for(10'000, [&](i64) { n.fetch_add(1, std::memory_order_relaxed); }, 32);
     EXPECT_EQ(n.load(), 10'000);
   }
-  par::set_threads(prev_p);
-  par::set_backend(prev);
 }
 
 TEST(Pool, FixedChunkLoopRunsEveryIndexOnce) {
   // bench/table_e9_slowdown.cpp emulates four classic schedules by fixing
   // the dynamic loop's chunk: ceil(n/p) (static), 1 (static,1 and
   // dynamic) and max(1, n/4p) (guided). Each must run every index once.
-  const par::Backend prev = par::backend();
-  const int prev_p = par::max_threads();
-  par::set_backend(par::Backend::Pool);
   for (const int p : {2, 4}) {
-    par::set_threads(p);
+    const par::ScopedConfig cfg(p, par::Backend::Pool);
     for (const i64 n : {200, 2'001}) {
       for (const i64 chunk : {(n + p - 1) / p, i64{1}, std::max<i64>(1, n / (4 * p))}) {
         std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
@@ -259,27 +217,23 @@ TEST(Pool, FixedChunkLoopRunsEveryIndexOnce) {
       }
     }
   }
-  par::set_threads(prev_p);
-  par::set_backend(prev);
 }
 
 TEST(Pool, ConcurrentExternalRootsRunEveryIndexOnce) {
   // Several external threads drive the pool at once: whichever holds the
   // caller slot runs its root as worker 0, the others inject theirs and
-  // wait. Between bursts set_threads resizes the pool.
-  const par::Backend prev = par::backend();
-  const int prev_p = par::max_threads();
-  par::set_backend(par::Backend::Pool);
+  // wait. Settings are per thread, so each caller opens its own scope;
+  // between bursts the new worker count resizes the pool.
   constexpr int kCallers = 4, kRounds = 6;
   constexpr i64 kN = 5'000, kLeaves = 512;
   constexpr std::size_t kFan = 16;
   for (const int p : {4, 2, 4}) {
-    par::set_threads(p);
     std::vector<std::atomic<int>> loop_hits(kCallers * kN), fan_hits(kCallers * kFan);
     std::vector<i64> leaves(kCallers, 0);
     std::vector<std::thread> callers;
     for (int c = 0; c < kCallers; ++c) {
-      callers.emplace_back([&, c] {
+      callers.emplace_back([&, c, p] {
+        const par::ScopedConfig cfg(p, par::Backend::Pool);
         const auto cu = static_cast<std::size_t>(c);
         for (int r = 0; r < kRounds; ++r) {
           par::parallel_for(
@@ -307,8 +261,6 @@ TEST(Pool, ConcurrentExternalRootsRunEveryIndexOnce) {
     }
     for (const i64 n : leaves) EXPECT_EQ(n, kRounds * kLeaves) << "p=" << p;
   }
-  par::set_threads(prev_p);
-  par::set_backend(prev);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "core/engine.hpp"
 #include "core/hsr.hpp"
@@ -118,66 +119,64 @@ TEST(Raster, BitIdenticalAcrossBackendsAndThreads) {
 }
 
 // kMaxRasterAxis caps width*supersample and height*supersample so depth
-// comparisons stay inside i128 (raster.hpp). The cap is a THSR_CHECK on
-// the public entry points — regression-test both the rejection (abort)
-// and that the exact boundary value is still accepted.
-TEST(RasterLimitsDeathTest, RejectsAxisBeyondCap) {
-  // threadsafe: the solve above may have spawned pool workers, and a plain
-  // fork with live threads is what the "fast" style warns about.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+// comparisons stay inside i128 (raster.hpp). raster::validate enforces the
+// cap on every public entry point with a typed error — regression-test both
+// the rejection and that the exact boundary value is still accepted.
+TEST(RasterLimits, RejectsAxisBeyondCap) {
   const Terrain t = gen(Family::Fbm, 8);
   const HsrResult r = hidden_surface_removal(t);
-  EXPECT_DEATH(
+  EXPECT_THROW(
       (void)raster::rasterize(t, r.map, {.width = raster::kMaxRasterAxis + 1, .height = 4}),
-      "kMaxRasterAxis");
-  EXPECT_DEATH(
+      std::invalid_argument);
+  EXPECT_THROW(
       (void)raster::rasterize(t, r.map, {.width = 4, .height = raster::kMaxRasterAxis + 1}),
-      "kMaxRasterAxis");
+      std::invalid_argument);
   // The product with supersampling is what the cap bounds, not width alone.
-  EXPECT_DEATH((void)raster::rasterize(t, r.map,
+  EXPECT_THROW((void)raster::rasterize(t, r.map,
                                        {.width = raster::kMaxRasterAxis / 2 + 1,
                                         .height = 4,
                                         .supersample = 2}),
-               "kMaxRasterAxis");
+               std::invalid_argument);
   // The ray-cast oracle enforces the same contract.
-  EXPECT_DEATH(
+  EXPECT_THROW(
       (void)raster::raycast_reference(t, {.width = raster::kMaxRasterAxis + 1, .height = 4}),
-      "kMaxRasterAxis");
+      std::invalid_argument);
 }
 
 // Oracle hardening: zero resolutions, u32-wrapping supersample products,
-// and degenerate explicit windows must all abort — on the oracle, the
+// and degenerate explicit windows must all be rejected — on the oracle, the
 // scan-converter, and the budget derivation alike, since a permissive
 // oracle would silently weaken every differential test built on it.
-TEST(RasterLimitsDeathTest, RejectsDegenerateResolutionsAndWindows) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST(RasterLimits, RejectsDegenerateResolutionsAndWindows) {
   const Terrain t = gen(Family::Fbm, 8);
   const HsrResult r = hidden_surface_removal(t);
-  EXPECT_DEATH((void)raster::raycast_reference(t, {.width = 0, .height = 4}), "width >= 1");
-  EXPECT_DEATH((void)raster::raycast_reference(t, {.width = 4, .height = 0}), "height >= 1");
-  EXPECT_DEATH((void)raster::raycast_reference(t, {.width = 4, .height = 4, .supersample = 0}),
-               "supersample >= 1");
-  EXPECT_DEATH((void)raster::rasterize(t, r.map, {.width = 4, .height = 4, .supersample = 0}),
-               "supersample >= 1");
+  EXPECT_THROW((void)raster::raycast_reference(t, {.width = 0, .height = 4}),
+               std::invalid_argument);
+  EXPECT_THROW((void)raster::raycast_reference(t, {.width = 4, .height = 0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)raster::raycast_reference(t, {.width = 4, .height = 4, .supersample = 0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)raster::rasterize(t, r.map, {.width = 4, .height = 4, .supersample = 0}),
+               std::invalid_argument);
   // Supersampling-overflow regression: width * supersample wraps to 0 in
   // u32 arithmetic, which a 32-bit product would wave through the cap.
-  // The checks multiply in u64 and must still abort.
-  EXPECT_DEATH(
+  // The check multiplies in u64 and must still reject.
+  EXPECT_THROW(
       (void)raster::raycast_reference(t, {.width = 1u << 31, .height = 4, .supersample = 2}),
-      "kMaxRasterAxis");
-  EXPECT_DEATH(
+      std::invalid_argument);
+  EXPECT_THROW(
       (void)raster::rasterize(t, r.map, {.width = 4, .height = 1u << 31, .supersample = 2}),
-      "kMaxRasterAxis");
-  EXPECT_DEATH(
+      std::invalid_argument);
+  EXPECT_THROW(
       (void)raster::pixel_budget(t, {.width = 1u << 31, .height = 4, .supersample = 2}),
-      "kMaxRasterAxis");
+      std::invalid_argument);
   // Degenerate explicit windows (empty y extent, inverted z extent).
   RasterOptions degenerate{.width = 4, .height = 4};
   degenerate.window = raster::ImageWindow{5, 5, 0, 1};
-  EXPECT_DEATH((void)raster::raycast_reference(t, degenerate), "y_lo < win.y_hi");
-  EXPECT_DEATH((void)raster::pixel_budget(t, degenerate), "y_lo < win.y_hi");
+  EXPECT_THROW((void)raster::raycast_reference(t, degenerate), std::invalid_argument);
+  EXPECT_THROW((void)raster::pixel_budget(t, degenerate), std::invalid_argument);
   degenerate.window = raster::ImageWindow{0, 1, 3, -3};
-  EXPECT_DEATH((void)raster::rasterize(t, r.map, degenerate), "z_lo < win.z_hi");
+  EXPECT_THROW((void)raster::rasterize(t, r.map, degenerate), std::invalid_argument);
 }
 
 TEST(RasterLimits, AcceptsAxisAtCapExactly) {

@@ -165,7 +165,7 @@ TEST(Service, ParameterizedSolveMatchesDirectSolveAcrossAlgorithms) {
     for (const Algorithm a : {Algorithm::Parallel, Algorithm::Sequential, Algorithm::Reference}) {
       const HsrOptions opt{.algorithm = a};
       const HsrResult direct = hidden_surface_removal(direct_terrain, opt);
-      expect_identical(view->solve_scoped(opt), direct,
+      expect_identical(view->engine().solve(opt), direct,
                        std::string(algorithm_name(a)) + " dir=(" + std::to_string(vp.dir_x) + "," +
                            std::to_string(vp.dir_y) + ") elev=" + std::to_string(vp.elev_num) +
                            "/" + std::to_string(vp.elev_den));
@@ -203,7 +203,7 @@ TEST(Service, GroundPreservingMissTransfersTheDepthOrder) {
 
   // Transfer is a wall-clock optimization only: identical map AND counters.
   const HsrOptions opt{.algorithm = Algorithm::Parallel};
-  expect_identical(view->solve_scoped(opt), hidden_surface_removal(direct_terrain, opt),
+  expect_identical(view->engine().solve(opt), hidden_surface_removal(direct_terrain, opt),
                    "order transfer");
 
   // Without the resident base the same miss takes the full-prepare rung and
@@ -212,7 +212,7 @@ TEST(Service, GroundPreservingMissTransfersTheDepthOrder) {
   cold.add_terrain(1, t);
   const auto cold_view = cold.acquire(1, shear);
   EXPECT_FALSE(cold_view->reused_base_order());
-  expect_identical(cold_view->solve_scoped(opt), hidden_surface_removal(direct_terrain, opt),
+  expect_identical(cold_view->engine().solve(opt), hidden_surface_removal(direct_terrain, opt),
                    "full prepare");
 }
 
@@ -293,7 +293,7 @@ TEST(EngineCacheTest, EntryLargerThanBudgetStillServes) {
   cache.add_terrain(1, t);
   const auto view = cache.acquire(1, Viewpoint{});
   ASSERT_NE(view, nullptr);
-  (void)view->solve_scoped({.algorithm = Algorithm::Sequential});
+  (void)view->engine().solve({.algorithm = Algorithm::Sequential});
   // The entry being acquired is never evicted by its own acquire.
   EXPECT_EQ(cache.stats().resident_entries, u64{1});
 }
@@ -306,7 +306,7 @@ TEST(EngineCacheTest, EvictedEntryLeaseStaysUsable) {
   (void)cache.acquire(1, Viewpoint{.elev_num = 1, .elev_den = 3});  // evicts the first
   EXPECT_GE(cache.stats().evictions, u64{1});
   const HsrResult direct = hidden_surface_removal(*t, {.algorithm = Algorithm::Sequential});
-  expect_identical(old->solve_scoped({.algorithm = Algorithm::Sequential}), direct,
+  expect_identical(old->engine().solve({.algorithm = Algorithm::Sequential}), direct,
                    "evicted lease");
 }
 
@@ -316,9 +316,9 @@ TEST(EngineCacheTest, CacheHitSolveIsBitIdenticalToColdSolve) {
   EngineCache cache;
   cache.add_terrain(1, t);
   const HsrOptions opt{.algorithm = Algorithm::Parallel};
-  const HsrResult cold = cache.acquire(1, vp)->solve_scoped(opt);
+  const HsrResult cold = cache.acquire(1, vp)->engine().solve(opt);
   bool hit = false;
-  const HsrResult warm = cache.acquire(1, vp, &hit)->solve_scoped(opt);
+  const HsrResult warm = cache.acquire(1, vp, &hit)->engine().solve(opt);
   EXPECT_TRUE(hit);
   expect_identical(warm, cold, "hit vs cold");
 }
@@ -351,7 +351,9 @@ TEST(EngineCacheTest, ConcurrentAcquiresAreConsistent) {
       Viewpoint{.dir_x = 0, .dir_y = 1},
       Viewpoint{.dir_x = 1, .dir_y = 1},
   };
-  const HsrOptions opt{.algorithm = Algorithm::Sequential};
+  // threads = 1: each solve stays on its thread, so its counters are exact
+  // while the other threads solve.
+  const HsrOptions opt{.algorithm = Algorithm::Sequential, .threads = 1};
   std::vector<HsrResult> direct;
   direct.reserve(vps.size());
   for (const Viewpoint& vp : vps) {
@@ -368,7 +370,7 @@ TEST(EngineCacheTest, ConcurrentAcquiresAreConsistent) {
       for (int r = 0; r < kRounds; ++r) {
         const std::size_t i = static_cast<std::size_t>(w + r) % vps.size();
         const auto view = cache.acquire(1, vps[i]);
-        const HsrResult got = view->solve_scoped(opt);
+        const HsrResult got = view->engine().solve(opt);
         if (direct[i].map.first_difference(got.map).has_value() ||
             !(got.stats.work == direct[i].stats.work)) {
           mismatches.fetch_add(1, std::memory_order_relaxed);

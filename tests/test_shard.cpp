@@ -264,6 +264,17 @@ TEST(Shard, CoalesceAtCutsMergesOnlyCutJunctions) {
   EXPECT_EQ(out.pieces(1).size(), 2u);
 }
 
+// A slab solve that throws on a pool worker must reach the caller as the
+// same exception — an exception escaping a pool task ends the process.
+TEST(Shard, SlabSolveErrorsReachTheCaller) {
+  const Terrain t = make_terrain({.family = Family::Fbm, .grid = 12, .seed = 3});
+  shard::ShardedEngine engine;
+  engine.prepare(t, 4);
+  HsrOptions opt{.algorithm = Algorithm::Parallel, .threads = 4, .backend = par::Backend::Pool};
+  opt.pixel_budget = PixelBudget{5, 5, 8};  // empty window: rejected by every slab solve
+  EXPECT_THROW((void)engine.solve(opt), std::invalid_argument);
+}
+
 TEST(Shard, SolveRequiresPrepare) {
   shard::ShardedEngine engine;
   EXPECT_FALSE(engine.prepared());

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -180,14 +181,13 @@ TEST(Stream, MatchesRasterizeSharded) {
 // degenerates to the in-core shape bit-identically
 // ---------------------------------------------------------------------------
 
-TEST(StreamDeath, ResidentBudgetZeroRejected) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST(Stream, ResidentBudgetZeroRejected) {
   const AscGrid g = test::make_asc_grid(8, 7, test::GridFamily::Flat, 1);
   stream::StreamOptions opt;
   opt.resident_slabs = 0;
   stream::MemoryBandSink sink(opt.width, opt.height, 1);
   stream::GridRowSource src(g);
-  EXPECT_DEATH((void)stream::stream_solve(src, opt, sink), "resident_slabs");
+  EXPECT_THROW((void)stream::stream_solve(src, opt, sink), std::invalid_argument);
 }
 
 TEST(Stream, ResidentBytesBudgetEnforced) {
