@@ -7,11 +7,11 @@
 /// (or `--diff`) compare across two runs on the *same* host. Protocol per
 /// case (bench/timing.hpp): pin the measuring thread, warm up untimed,
 /// then report the median of `--reps` timed repetitions with IQR and MAD
-/// dispersion. Cases cover the three solve surfaces whose speed the
-/// engine-reuse and flattened-treap work targets: warm HsrEngine solves,
-/// sharded solves, and rasterization — each on the serial backend at p=1
-/// and on the first scaling backend at p=4, so one artifact shows both the
-/// single-core cost and the parallel win.
+/// dispersion. Cases cover cold preparation and the three solve surfaces
+/// whose speed the engine-reuse and flattened-treap work targets: warm
+/// HsrEngine solves, sharded solves, and rasterization — each on the
+/// serial backend at p=1 and on the first scaling backend at p=4, so one
+/// artifact shows both the single-core cost and the parallel win.
 ///
 /// Usage:
 ///   bench_timed [--out BENCH_TIMED.json] [--reps 9] [--warmup 2]
@@ -90,6 +90,27 @@ void record(CaseMap& cases, const std::string& name, const TimedStats& s, const 
   m["p"] = static_cast<u64>(ln.threads);
   std::cout << "  " << name << ": median " << s.median_ns / 1000 << " us (iqr "
             << s.iqr_ns / 1000 << " us, " << s.reps << " reps)\n";
+}
+
+/// Cold preparation: a fresh HsrEngine::prepare (segment table, depth
+/// order, PCT) per repetition — what a terrain pays once before its first
+/// solve: one-shot viewsheds, stream slabs, and cache misses that change
+/// the ground projection. prepare() always runs inline on the calling
+/// thread; both lanes carry the case so each lane shows the whole path.
+void run_prepare_cases(CaseMap& cases, const Config& cfg) {
+  const Terrain terr = bench::make(Family::Fbm, 48);
+  for (const Lane& ln : lanes()) {
+    const std::string name = "prepare/fbm/g48" + lane_suffix(ln);
+    if (!selected(cfg, name)) continue;
+    const par::ScopedConfig scope(ln.threads, ln.backend);
+    const TimedStats s = bench::measure(
+        [&] {
+          HsrEngine eng;
+          eng.prepare(terr);
+        },
+        cfg.warmup, cfg.reps);
+    record(cases, name, s, ln);
+  }
 }
 
 /// Warm HsrEngine solves: prepare once, let the harness warmup be the cold
@@ -377,6 +398,7 @@ int main(int argc, char** argv) {
 
   thsr::work::reset();  // so the filter hit-rate meta below covers this run only
   CaseMap cases;
+  run_prepare_cases(cases, cfg);
   run_engine_cases(cases, cfg);
   run_shard_cases(cases, cfg);
   run_raster_cases(cases, cfg);

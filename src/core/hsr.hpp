@@ -92,7 +92,7 @@ struct HsrStats {
   double order_s{0}, phase1_s{0}, phase2_s{0}, total_s{0};
   u64 n_edges{0}, n_slivers{0};
   u64 k_pieces{0}, k_crossings{0};
-  u64 depth_constraints{0};
+  u64 depth_constraints{0};  ///< arcs behind the depth order (DepthOrder::constraints)
   u64 phase1_pieces{0};  ///< total intermediate-envelope pieces (Σ over PCT)
   u64 treap_nodes{0};    ///< persistent nodes allocated over the whole run
   Counters work;         ///< operation counters for the run (work bound proxy)

@@ -8,47 +8,28 @@
 namespace thsr::raster {
 namespace {
 
-/// Ground-plane side of the y-ascending edge p->q that point w lies on:
-/// negative = the near (+x, toward-the-viewer) side. Exact in i128
-/// (|coordinates| <= 2^22 after differencing).
-int ground_side(const Vertex3& p, const Vertex3& q, const Vertex3& w) {
-  const i128 l = i128{q.x - p.x} * (w.y - p.y) - i128{q.y - p.y} * (w.x - p.x);
-  return sgn128(l);
-}
-
-/// Per-edge adjacent triangles split by ground side (relative to the
-/// y-ascending edge orientation): the *near* triangle is the one a ray
-/// leaves when the visible surface rises past the edge. Sliver edges
-/// (dy == 0) keep both slots empty — no column ever crosses them.
-struct Adjacency {
-  std::vector<u32> near_tri, far_tri;  ///< kNoTriangle when absent
-};
-
-Adjacency build_adjacency(const Terrain& t) {
-  Adjacency adj;
-  adj.near_tri.assign(t.edge_count(), kNoTriangle);
-  adj.far_tri.assign(t.edge_count(), kNoTriangle);
-  const std::span<const Edge> edges = t.edges();
-  const auto edge_id = [&](u32 a, u32 b) {
-    const Edge e{std::min(a, b), std::max(a, b)};
-    const auto it = std::lower_bound(edges.begin(), edges.end(), e);
-    THSR_DCHECK(it != edges.end() && *it == e);
-    return static_cast<u32>(it - edges.begin());
-  };
+/// Per-edge near triangle: of the triangles on either ground side of the
+/// y-ascending edge, the one on the near side — the triangle a ray leaves
+/// when the visible surface rises past the edge. kNoTriangle when the near
+/// side is outside the terrain, and for sliver edges (dy == 0), which no
+/// column ever crosses.
+std::vector<u32> near_triangles(const Terrain& t) {
+  std::vector<u32> near_tri(t.edge_count(), kNoTriangle);
   for (u32 ti = 0; ti < t.triangle_count(); ++ti) {
     const Triangle& tr = t.triangles()[ti];
-    const u32 vs[3] = {tr.a, tr.b, tr.c};
+    const Terrain::TriEdges& te = t.tri_edges(ti);
+    // Side k of tri_edges joins (a,b), (b,c), (a,c); the third vertex is c, a, b.
+    const u32 sides[3][3] = {{tr.a, tr.b, tr.c}, {tr.b, tr.c, tr.a}, {tr.a, tr.c, tr.b}};
     for (int k = 0; k < 3; ++k) {
-      const u32 va = vs[k], vb = vs[(k + 1) % 3], vc = vs[(k + 2) % 3];
-      const Vertex3 &pa = t.vertex(va), &pb = t.vertex(vb);
+      const Vertex3 &pa = t.vertex(sides[k][0]), &pb = t.vertex(sides[k][1]);
       if (pa.y == pb.y) continue;  // sliver edge
       const Vertex3 &p = pa.y < pb.y ? pa : pb, &q = pa.y < pb.y ? pb : pa;
-      const int side = ground_side(p, q, t.vertex(vc));
+      const int side = orient_ground(p, q, t.vertex(sides[k][2]));
       THSR_DCHECK(side != 0);  // non-degenerate ground triangle
-      (side < 0 ? adj.near_tri : adj.far_tri)[edge_id(va, vb)] = ti;
+      if (side > 0) near_tri[te[k]] = ti;
     }
   }
-  return adj;
+  return near_tri;
 }
 
 /// Exact value of segment `s` (u-ascending) at abscissa u = p/q, as a QY
@@ -82,7 +63,7 @@ struct ColumnSet {
   const VisibilityMap* map{nullptr};
   const std::vector<u32>* tri_map{nullptr};  ///< local->source tri ids; null = identity
   u32 sub_lo{0}, sub_hi{0};              ///< owned sub-column range [lo, hi)
-  Adjacency adj;
+  std::vector<u32> near_tri;             ///< near_triangles(*terrain)
   std::vector<std::vector<u32>> buckets; ///< candidate edges per owned sub-column
 };
 
@@ -152,7 +133,7 @@ void scan_sub_column(const ColumnSet& cs, const ImageWindow& w, u32 width, u32 h
     u32 tri = kNoTriangle;
     double dep = 0.0;
     if (kc < cr.size()) {
-      const u32 local = cs.adj.near_tri[cr[kc].edge];
+      const u32 local = cs.near_tri[cr[kc].edge];
       if (local != kNoTriangle) {
         const auto d = plane_depth(*cs.terrain, local, y0, z0);
         dep = d ? *d : cr[kc].x.approx();  // edge-on plane: depth of the crossing
@@ -183,7 +164,7 @@ ImageRaster rasterize_impl(std::vector<ColumnSet> sets, const RasterOptions& opt
   for (ColumnSet& cs : sets) {
     if (cs.terrain != nullptr) {
       THSR_CHECK(cs.map != nullptr && cs.map->edge_slots() == cs.terrain->edge_count());
-      cs.adj = build_adjacency(*cs.terrain);
+      cs.near_tri = near_triangles(*cs.terrain);
     }
     fill_buckets(cs, win, W, s);
   }
@@ -387,7 +368,7 @@ BandScan scan_band(const Terrain* t, const VisibilityMap* m, const std::vector<u
   cs.tri_map = tri_map;
   cs.sub_lo = sub_lo;
   cs.sub_hi = sub_hi;
-  cs.adj = build_adjacency(*t);
+  cs.near_tri = near_triangles(*t);
   fill_buckets(cs, win, opt.width, s);
 
   std::vector<u64> sub_crossings(n, 0), sub_hits(n, 0);

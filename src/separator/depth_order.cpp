@@ -1,7 +1,6 @@
 #include "separator/depth_order.hpp"
 
 #include <algorithm>
-#include <map>
 #include <queue>
 #include <set>
 
@@ -43,19 +42,22 @@ struct ActiveCmp {
   }
 };
 
-}  // namespace
+/// Constraint arc: `first` precedes (is in front of) `second`.
+using Arc = std::pair<u32, u32>;
 
-DepthOrder compute_depth_order(const Terrain& t) {
-  const auto n = static_cast<u32>(t.edge_count());
-
+/// Plane sweep over the edges `ids` of `t`: appends an arc for every pair
+/// that becomes x-adjacent among those edges (at insertion and removal
+/// events) and orders each sliver against its nearest strictly-front and
+/// strictly-behind neighbours.
+void sweep_arcs(const Terrain& t, std::span<const u32> ids, std::vector<Arc>& arcs) {
   struct Event {
     i64 y;
     int kind;  // 0 = remove, 1 = sliver point, 2 = insert
     u32 edge;
   };
   std::vector<Event> events;
-  events.reserve(2 * n);
-  for (u32 e = 0; e < n; ++e) {
+  events.reserve(2 * ids.size());
+  for (const u32 e : ids) {
     if (t.is_sliver(e)) {
       events.push_back({t.sliver(e).y, 1, e});
     } else {
@@ -72,10 +74,6 @@ DepthOrder compute_depth_order(const Terrain& t) {
 
   SweepState st;
   std::set<ActiveEdge, ActiveCmp> active{ActiveCmp{&st}};
-
-  // Constraint arcs u -> v meaning "u precedes v" (u in front of v).
-  std::vector<std::pair<u32, u32>> arcs;
-  arcs.reserve(4 * n);
   const auto arc = [&](u32 front, u32 back) { arcs.emplace_back(front, back); };
 
   for (std::size_t i = 0; i < events.size();) {
@@ -119,18 +117,23 @@ DepthOrder compute_depth_order(const Terrain& t) {
     }
   }
   THSR_CHECK(active.empty());
+}
 
-  // Deterministic Kahn topological sort (min edge id first).
-  std::vector<std::vector<u32>> out(n);
-  std::vector<u32> indeg(n, 0);
-  {
-    std::sort(arcs.begin(), arcs.end());
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-    for (auto [u, v] : arcs) {
-      out[u].push_back(v);
-      ++indeg[v];
-    }
+/// Deterministic Kahn topological sort (min edge id first) over the
+/// distinct `arcs`, through a CSR adjacency.
+DepthOrder kahn_order(u32 n, std::span<const Arc> arcs) {
+  std::vector<u32> first(std::size_t{n} + 1, 0), indeg(n, 0);
+  for (const auto& [u, v] : arcs) {
+    ++first[u + 1];
+    ++indeg[v];
   }
+  for (u32 e = 0; e < n; ++e) first[e + 1] += first[e];
+  std::vector<u32> succ(arcs.size());
+  {
+    std::vector<u32> fill(first.begin(), first.end() - 1);
+    for (const auto& [u, v] : arcs) succ[fill[u]++] = v;
+  }
+
   DepthOrder d;
   d.constraints = arcs.size();
   d.order.reserve(n);
@@ -142,14 +145,81 @@ DepthOrder compute_depth_order(const Terrain& t) {
     const u32 e = ready.top();
     ready.pop();
     d.order.push_back(e);
-    for (u32 v : out[e]) {
-      if (--indeg[v] == 0) ready.push(v);
+    for (u32 i = first[e]; i < first[e + 1]; ++i) {
+      if (--indeg[succ[i]] == 0) ready.push(succ[i]);
     }
   }
   THSR_CHECK(d.order.size() == n);  // acyclic by the terrain depth-order theorem
   d.rank.assign(n, 0);
   for (u32 r = 0; r < n; ++r) d.rank[d.order[r]] = r;
   return d;
+}
+
+}  // namespace
+
+DepthOrder sweep_depth_order(const Terrain& t) {
+  const auto n = static_cast<u32>(t.edge_count());
+  std::vector<u32> ids(n);
+  for (u32 e = 0; e < n; ++e) ids[e] = e;
+  std::vector<Arc> arcs;
+  arcs.reserve(4 * std::size_t{n});
+  sweep_arcs(t, ids, arcs);
+  std::sort(arcs.begin(), arcs.end());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  return kahn_order(n, arcs);
+}
+
+DepthOrder compute_depth_order(const Terrain& t) {
+  const auto n = static_cast<u32>(t.edge_count());
+  const auto m = static_cast<u32>(t.triangle_count());
+  constexpr u32 kNone = 0xffffffffu, kTwoFaces = 0xfffffffeu;
+  // Side k of tri_edges joins (a,b), (b,c), (a,c): the side opposite
+  // vertex a is 1, opposite b is 2, opposite c is 0.
+  constexpr int kOpposite[3] = {1, 2, 0};
+
+  std::vector<Arc> arcs;
+  arcs.reserve(2 * std::size_t{m});
+  std::vector<u32> face_of(n, kNone);  // the one face of a boundary edge
+  for (u32 ti = 0; ti < m; ++ti) {
+    const Triangle& tr = t.triangles()[ti];
+    const Vertex3* v[3] = {&t.vertex(tr.a), &t.vertex(tr.b), &t.vertex(tr.c)};
+    if (v[0]->y == v[1]->y || v[1]->y == v[2]->y || v[0]->y == v[2]->y) {
+      return sweep_depth_order(t);  // a sliver side: no long side to pivot on
+    }
+    int lo = 0, hi = 0;
+    for (int k = 1; k < 3; ++k) {
+      if (v[k]->y < v[lo]->y) lo = k;
+      if (v[k]->y > v[hi]->y) hi = k;
+    }
+    const int mid = 3 - lo - hi;
+    // The long side spans the face's whole y-range; each short side is
+    // x-adjacent to it across the face's interior, on the middle vertex's
+    // side of it.
+    const Terrain::TriEdges& te = t.tri_edges(ti);
+    const u32 long_side = te[kOpposite[mid]];
+    const bool short_in_front = orient_ground(*v[lo], *v[hi], *v[mid]) > 0;
+    for (int k = 0; k < 3; ++k) {
+      face_of[te[k]] = face_of[te[k]] == kNone ? ti : kTwoFaces;
+      if (te[k] == long_side) continue;
+      arcs.push_back(short_in_front ? Arc{te[k], long_side} : Arc{long_side, te[k]});
+    }
+  }
+
+  // Across a gap in the domain, x-adjacent edges are both boundary edges.
+  std::vector<u32> boundary;
+  for (u32 e = 0; e < n; ++e) {
+    if (face_of[e] != kTwoFaces) boundary.push_back(e);
+  }
+  std::vector<Arc> gap_arcs;
+  sweep_arcs(t, boundary, gap_arcs);
+  std::sort(gap_arcs.begin(), gap_arcs.end());
+  gap_arcs.erase(std::unique(gap_arcs.begin(), gap_arcs.end()), gap_arcs.end());
+  for (const Arc& a : gap_arcs) {
+    // Two sides of one face are adjacent only as long vs short side: that
+    // arc is already recorded.
+    if (face_of[a.first] != face_of[a.second]) arcs.push_back(a);
+  }
+  return kahn_order(n, arcs);
 }
 
 bool validate_depth_order(const Terrain& t, std::span<const u32> order, std::size_t pair_limit) {

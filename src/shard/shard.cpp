@@ -1,6 +1,7 @@
 #include "shard/shard.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "support/check.hpp"
 
@@ -47,7 +48,7 @@ u32 ShardPlan::owner_slab(i64 y) const {
 }
 
 ShardPlan decompose(const Terrain& t, u32 slabs) {
-  THSR_CHECK(slabs >= 1);
+  if (slabs == 0) throw std::invalid_argument("decompose: slabs must be >= 1");
   ShardPlan plan;
   plan.source = &t;
 
@@ -63,7 +64,6 @@ ShardPlan decompose(const Terrain& t, u32 slabs) {
 
   const std::span<const Vertex3> verts = t.vertices();
   const std::span<const Triangle> tris = t.triangles();
-  const std::span<const Edge> edges = t.edges();
 
   plan.slabs.resize(slabs);
   for (u32 s = 0; s < slabs; ++s) {
@@ -111,14 +111,13 @@ ShardPlan decompose(const Terrain& t, u32 slabs) {
     // slab-local -> source triangle map (consumed by raster/raster.hpp).
     slab.global_tri = std::move(tri_ids);
 
-    // Every slab edge is a source edge under the vertex renumbering.
-    slab.global_edge.reserve(slab.terrain.edge_count());
-    for (const Edge& le : slab.terrain.edges()) {
-      const u32 ga = vids[le.a], gb = vids[le.b];
-      const Edge ge{std::min(ga, gb), std::max(ga, gb)};
-      const auto it = std::lower_bound(edges.begin(), edges.end(), ge);
-      THSR_CHECK(it != edges.end() && *it == ge);
-      slab.global_edge.push_back(static_cast<u32>(it - edges.begin()));
+    // Every slab edge is a side of a slab triangle, and side k of a slab
+    // triangle is side k of its source triangle (same vertex order).
+    slab.global_edge.assign(slab.terrain.edge_count(), 0);
+    for (u32 ti = 0; ti < slab.global_tri.size(); ++ti) {
+      const Terrain::TriEdges& local = slab.terrain.tri_edges(ti);
+      const Terrain::TriEdges& source = t.tri_edges(slab.global_tri[ti]);
+      for (int k = 0; k < 3; ++k) slab.global_edge[local[k]] = source[k];
     }
     plan.slab_edges_total += slab.terrain.edge_count();
   }

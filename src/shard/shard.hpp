@@ -80,9 +80,11 @@ struct ShardPlan {
 /// Cut `t` into `slabs` y-slabs at uniformly spaced integer ordinates.
 /// Every triangle lands in each slab whose closed window its y-span meets,
 /// so each slab's sub-terrain contains every edge that can occlude — or be
-/// visible — anywhere in the window, including its endpoints. Requires
-/// slabs >= 1. Slabs that no triangle meets (a y-gap in the terrain, or
-/// more slabs than lattice lines) come out empty and solve trivially.
+/// visible — anywhere in the window, including its endpoints. Slabs that
+/// no triangle meets (a y-gap in the terrain, or more slabs than lattice
+/// lines) come out empty and solve trivially. Slab edges map to source
+/// edges through the two terrains' `tri_edges`.
+/// \throws std::invalid_argument when slabs == 0.
 ShardPlan decompose(const Terrain& t, u32 slabs);
 
 /// Reassemble per-slab visibility maps into the source terrain's map.

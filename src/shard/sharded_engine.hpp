@@ -46,6 +46,8 @@ class ShardedEngine {
   /// non-empty slab, fanned over the calling thread's backend like the
   /// solves. Fully evicts any previously prepared terrain. The terrain
   /// must outlive every solve.
+  /// \throws std::invalid_argument when slabs == 0 (the engine is left
+  ///         unprepared).
   void prepare(const Terrain& t, u32 slabs);
 
   bool prepared() const noexcept;

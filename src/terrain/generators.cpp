@@ -126,11 +126,13 @@ HeightField heights(const GenOptions& opt, i64 A) {
 }  // namespace
 
 Terrain make_terrain(const GenOptions& opt) {
-  THSR_CHECK(opt.grid >= 2);
-  THSR_CHECK(opt.grid <= 180);  // keeps sheared coordinates (~64*grid^2) within kMaxCoord
+  // 180 keeps sheared coordinates (~64*grid^2) within kMaxCoord.
+  if (opt.grid < 2 || opt.grid > 180) {
+    throw std::invalid_argument("make_terrain: grid must be in [2, 180]");
+  }
   const u32 g = opt.grid;
   const i64 A = opt.amplitude > 0 ? opt.amplitude : i64{4} * g;
-  THSR_CHECK(A <= kMaxCoord);
+  if (A > kMaxCoord) throw std::invalid_argument("make_terrain: amplitude exceeds kMaxCoord");
 
   HeightField f = heights(opt, A);
 

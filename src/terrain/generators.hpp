@@ -38,6 +38,8 @@ struct GenOptions {
 /// Build a terrain of the requested family. Deterministic in
 /// (family, grid, seed, shear, jitter); O(grid^2) vertices and
 /// ~3*(grid-1)^2 edges (DESIGN.md section 1.5 for the lattice).
+/// \throws std::invalid_argument when grid is outside [2, 180] or the
+///         amplitude exceeds kMaxCoord.
 Terrain make_terrain(const GenOptions& opt);
 
 /// Family from its bench/CLI name ("fbm", "ridge_front", ...). Throws on

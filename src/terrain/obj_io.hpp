@@ -24,7 +24,9 @@ void save_obj(const Terrain& t, const std::string& path);
 ///              integer lattice the exact predicates require
 /// \return the validated terrain (Terrain::from_triangles contract)
 /// \throws std::runtime_error on parse errors, coordinate-bound
-///         violations after scaling, or non-triangular faces. O(n).
+///         violations after scaling, or non-triangular faces;
+///         std::invalid_argument when the mesh breaks the from_triangles
+///         contract (repeated index, ground-collinear face, ...). O(n log n).
 Terrain load_obj(std::istream& is, double scale = 1.0);
 /// \overload Opens `path` for reading; throws std::runtime_error when it cannot.
 Terrain load_obj(const std::string& path, double scale = 1.0);

@@ -12,6 +12,7 @@
 /// are excluded from envelopes and handled by the sliver path (DESIGN.md
 /// section 4.5).
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -28,6 +29,13 @@ struct Vertex3 {
   i64 z{0};  ///< height (the terrain is z = f(x, y))
   friend constexpr bool operator==(const Vertex3&, const Vertex3&) = default;
 };
+
+/// Exact orientation of c against the segment a->b in the ground plane
+/// (u = y, v = x): positive when c lies on the +x (viewer) side of the
+/// line through a->b oriented by increasing y. Exact in i128.
+inline int orient_ground(const Vertex3& a, const Vertex3& b, const Vertex3& c) {
+  return sgn128(i128{b.y - a.y} * (c.x - a.x) - i128{b.x - a.x} * (c.y - a.y));
+}
 
 /// A triangular face as three vertex indices. Orientation is free: the
 /// library derives ground orientation from coordinates where needed.
@@ -57,15 +65,21 @@ class Terrain {
   Terrain() = default;
 
   /// Build from a triangle soup; computes the unique edge set (sorted, so
-  /// edge ids are stable in the input alone) and validates coordinate
-  /// bounds and the z = f(x,y) property (no duplicate ground position).
-  /// Triangle order is preserved — triangle ids are input indices.
+  /// edge ids are stable in the input alone) and each face's three edge
+  /// ids (`tri_edges`), and validates coordinate bounds and the z = f(x,y)
+  /// property (no duplicate ground position). Triangle order is preserved —
+  /// triangle ids are input indices.
   /// \param vertices  vertex table; every |coordinate| must be <= kMaxCoord
   /// \param triangles faces into `vertices`; must be non-degenerate in
   ///                  ground projection
   /// \return the validated terrain
-  /// \throws std::invalid_argument on bound violations, degenerate faces,
-  ///         or duplicate ground positions. O(m log m) in the face count.
+  /// \throws std::invalid_argument on bound violations, a vertex index out
+  ///         of range or repeated within a face, a ground-collinear face, an
+  ///         edge shared by more than two faces, or duplicate ground
+  ///         positions. The edge table is a counting sort of the faces'
+  ///         sides by smaller endpoint, O(n + m) for n vertices and m faces
+  ///         of bounded degree; the ground-position check sorts the
+  ///         vertices, O(n log n).
   static Terrain from_triangles(std::vector<Vertex3> vertices, std::vector<Triangle> triangles);
 
   std::size_t vertex_count() const noexcept { return vertices_.size(); }  ///< number of vertices
@@ -73,12 +87,12 @@ class Terrain {
   std::size_t triangle_count() const noexcept { return triangles_.size(); }
   std::size_t edge_count() const noexcept { return edges_.size(); }  ///< number of unique edges
 
-  /// Bytes of the vertex, face and edge tables: the resident cost of one
-  /// copy of this terrain (charged by the stream residency meter and the
-  /// service cache's footprint accounting).
+  /// Bytes of the vertex, face, edge and face-to-edge tables: the resident
+  /// cost of one copy of this terrain (charged by the stream residency
+  /// meter and the service cache's footprint accounting).
   u64 footprint_bytes() const noexcept {
     return vertices_.size() * sizeof(Vertex3) + triangles_.size() * sizeof(Triangle) +
-           edges_.size() * sizeof(Edge);
+           edges_.size() * sizeof(Edge) + tri_edges_.size() * sizeof(TriEdges);
   }
 
   const Vertex3& vertex(u32 i) const { return vertices_[i]; }  ///< vertex by index
@@ -86,6 +100,10 @@ class Terrain {
   /// All faces, in input order (triangle ids are input indices).
   std::span<const Triangle> triangles() const noexcept { return triangles_; }
   std::span<const Edge> edges() const noexcept { return edges_; }  ///< unique edges, sorted
+
+  /// Edge ids of face ti's sides (a,b), (b,c) and (a,c), in that order.
+  using TriEdges = std::array<u32, 3>;
+  const TriEdges& tri_edges(u32 ti) const { return tri_edges_[ti]; }
 
   /// True when edge e's ground projection has dy == 0.
   bool is_sliver(u32 e) const {
@@ -137,13 +155,15 @@ class Terrain {
   /// sqrt(a^2+b^2) (scaling does not affect visibility). With (a, b) from a
   /// Pythagorean triple this realizes exact rational view angles — viewing
   /// the rotated terrain along -x equals viewing the original from that
-  /// azimuth. Throws if the scaled coordinates leave the admissible range.
+  /// azimuth. Throws std::invalid_argument for (0, 0) or when the scaled
+  /// coordinates leave the admissible range.
   Terrain rotate_ground(i64 a, i64 b) const;
 
  private:
   std::vector<Vertex3> vertices_;
   std::vector<Triangle> triangles_;
   std::vector<Edge> edges_;
+  std::vector<TriEdges> tri_edges_;
   i64 min_y_{0}, max_y_{0}, max_abs_{0};
 };
 

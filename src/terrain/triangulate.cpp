@@ -6,11 +6,6 @@
 namespace thsr {
 namespace {
 
-int orient_ground(const Vertex3& a, const Vertex3& b, const Vertex3& c) {
-  const i128 d = i128{b.y - a.y} * (c.x - a.x) - i128{b.x - a.x} * (c.y - a.y);
-  return sgn128(d);
-}
-
 // Ground order along the sweep: by y, ties by x.
 bool ground_less(const Vertex3& a, const Vertex3& b) {
   return a.y != b.y ? a.y < b.y : a.x < b.x;

@@ -1,7 +1,8 @@
 /// Differential fuzz harness: randomized terrain / viewpoint / algorithm /
 /// oracle / backend tuples, cross-checked pairwise across independent solve
 /// paths — engine vs one-shot shim, sharded vs monolithic, streamed vs
-/// monolithic, bounded vs exact raster. Every iteration derives its own
+/// monolithic, bounded vs exact raster, triangle-local vs full-sweep depth
+/// order. Every iteration derives its own
 /// seed and logs it; on a mismatch the failure message carries exact
 /// reproduction instructions.
 ///
@@ -23,6 +24,7 @@
 #include "core/hsr.hpp"
 #include "raster/oracle.hpp"
 #include "raster/raster.hpp"
+#include "separator/depth_order.hpp"
 #include "service/engine_cache.hpp"
 #include "service/viewpoint.hpp"
 #include "shard/sharded_engine.hpp"
@@ -235,6 +237,32 @@ TEST(Differential, BoundedVsExact) {
       expect_images_identical(img_b, raster::raycast_reference(t, ropt),
                               "bounded raster != oracle raster");
     }
+  }
+}
+
+// Triangle-local depth order vs the full sweep on a random holed DEM under
+// a random ground rotation: identical order and ranks.
+TEST(Differential, HoledDemOrderVsSweep) {
+  for (u64 i = 0; i < fuzz_iters(); ++i) {
+    const u64 seed = iter_seed(fuzz_seed(), i);
+    SCOPED_TRACE(repro("HoledDemOrderVsSweep", seed));
+    std::mt19937_64 g{seed};
+    const AscGrid dem = test::make_asc_grid(6 + static_cast<u32>(g() % 20),
+                                            6 + static_cast<u32>(g() % 20),
+                                            test::GridFamily::Holes, g());
+    const stream::SlabBuild b = stream::build_rows(dem.ncols, 0, dem.nrows, dem.values,
+                                                   dem.nodata, /*tri_base=*/0);
+    if (b.empty()) continue;
+    i64 a = 0, c = 0;
+    while (a == 0 && c == 0) {
+      a = static_cast<i64>(g() % 13) - 6;
+      c = static_cast<i64>(g() % 13) - 6;
+    }
+    SCOPED_TRACE("rotation (" + std::to_string(a) + ", " + std::to_string(c) + ")");
+    const Terrain t = b.terrain.rotate_ground(a, c);
+    const DepthOrder got = compute_depth_order(t), want = sweep_depth_order(t);
+    EXPECT_EQ(got.order, want.order);
+    EXPECT_EQ(got.rank, want.rank);
   }
 }
 

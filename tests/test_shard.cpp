@@ -275,6 +275,14 @@ TEST(Shard, SlabSolveErrorsReachTheCaller) {
   EXPECT_THROW((void)engine.solve(opt), std::invalid_argument);
 }
 
+TEST(Shard, ZeroSlabsRejected) {
+  const Terrain t = make_terrain({.family = Family::Fbm, .grid = 8, .seed = 3});
+  EXPECT_THROW((void)shard::decompose(t, 0), std::invalid_argument);
+  shard::ShardedEngine engine;
+  EXPECT_THROW(engine.prepare(t, 0), std::invalid_argument);
+  EXPECT_FALSE(engine.prepared());
+}
+
 TEST(Shard, SolveRequiresPrepare) {
   shard::ShardedEngine engine;
   EXPECT_FALSE(engine.prepared());

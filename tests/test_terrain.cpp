@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "stream/dem_lattice.hpp"
 #include "terrain/generators.hpp"
 #include "terrain/obj_io.hpp"
 #include "test_util.hpp"
@@ -33,6 +35,77 @@ TEST(Terrain, RejectsOutOfRangeCoordinates) {
   std::vector<Vertex3> v{{0, 0, kMaxCoord + 1}, {4, 0, 2}, {0, 4, 3}};
   std::vector<Triangle> tr{{0, 1, 2}};
   EXPECT_THROW(Terrain::from_triangles(v, tr), std::invalid_argument);
+}
+
+TEST(Terrain, RejectsMalformedFaces) {
+  const std::vector<Vertex3> v{{0, 0, 1}, {4, 0, 2}, {0, 4, 3}, {0, -4, 4}, {2, 8, 5}, {8, 0, 6}};
+  const auto build = [&](std::vector<Triangle> tr) { return Terrain::from_triangles(v, tr); };
+  EXPECT_THROW(build({{0, 1, 6}}), std::invalid_argument);  // index out of range
+  EXPECT_THROW(build({{0, 1, 0}}), std::invalid_argument);  // repeated index
+  EXPECT_THROW(build({{0, 1, 5}}), std::invalid_argument);  // ground-collinear
+  EXPECT_THROW(build({{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}), std::invalid_argument);  // 3 faces
+  EXPECT_NO_THROW(build({{0, 1, 2}, {0, 1, 3}}));
+}
+
+TEST(Terrain, RejectsZeroRotation) {
+  const Terrain t = make_terrain({.grid = 4});
+  EXPECT_THROW((void)t.rotate_ground(0, 0), std::invalid_argument);
+}
+
+TEST(Generators, RejectsGridOutsideRange) {
+  for (const u32 grid : {0u, 1u, 181u}) {
+    EXPECT_THROW((void)make_terrain({.grid = grid}), std::invalid_argument) << grid;
+  }
+  EXPECT_NO_THROW((void)make_terrain({.grid = 2}));
+  EXPECT_THROW((void)make_terrain({.grid = 4, .amplitude = kMaxCoord + 1}), std::invalid_argument);
+}
+
+/// edges() must be exactly sort+unique of every face's sides, and
+/// tri_edges(ti)[k] must name side k of face ti.
+void expect_edge_tables_consistent(const Terrain& t, const std::string& label) {
+  const auto mk = [](u32 p, u32 q) { return Edge{std::min(p, q), std::max(p, q)}; };
+  std::vector<Edge> sides;
+  for (const Triangle& tr : t.triangles()) {
+    sides.push_back(mk(tr.a, tr.b));
+    sides.push_back(mk(tr.b, tr.c));
+    sides.push_back(mk(tr.a, tr.c));
+  }
+  std::sort(sides.begin(), sides.end());
+  sides.erase(std::unique(sides.begin(), sides.end()), sides.end());
+  ASSERT_TRUE(std::ranges::equal(t.edges(), sides)) << label;
+  for (u32 ti = 0; ti < t.triangle_count(); ++ti) {
+    const Triangle& tr = t.triangles()[ti];
+    const Terrain::TriEdges& te = t.tri_edges(ti);
+    EXPECT_EQ(t.edges()[te[0]], mk(tr.a, tr.b)) << label << " face " << ti;
+    EXPECT_EQ(t.edges()[te[1]], mk(tr.b, tr.c)) << label << " face " << ti;
+    EXPECT_EQ(t.edges()[te[2]], mk(tr.a, tr.c)) << label << " face " << ti;
+  }
+}
+
+TEST(Terrain, EdgeTablesMatchFaceSides) {
+  for (const Family f : kAllFamilies) {
+    for (const bool shear : {true, false}) {
+      const Terrain t =
+          make_terrain({.family = f, .grid = 9, .seed = 4, .shear = shear, .jitter = shear});
+      expect_edge_tables_consistent(t, family_name(f));
+      expect_edge_tables_consistent(t.rotate_ground(3, 4), "rotated");
+    }
+  }
+  const AscGrid g = test::make_asc_grid(14, 11, test::GridFamily::Holes, 3);
+  expect_edge_tables_consistent(stream::terrain_from_rows(g.ncols, g.nrows, g.values, g.nodata),
+                                "holed DEM");
+}
+
+TEST(Terrain, FootprintCountsTheFourTables) {
+  const Terrain t = make_terrain({.grid = 8});
+  ASSERT_EQ(t.vertex_count(), 64u);
+  ASSERT_EQ(t.triangle_count(), 98u);
+  ASSERT_EQ(t.edge_count(), 161u);
+  EXPECT_EQ(sizeof(Vertex3), 24u);
+  EXPECT_EQ(sizeof(Triangle), 12u);
+  EXPECT_EQ(sizeof(Edge), 8u);
+  EXPECT_EQ(sizeof(Terrain::TriEdges), 12u);
+  EXPECT_EQ(t.footprint_bytes(), 64u * 24 + 98u * 12 + 161u * 8 + 98u * 12);
 }
 
 TEST(Terrain, ImageAndGroundSegments) {
@@ -210,6 +283,13 @@ TEST(ObjIo, RejectsQuads) {
   std::stringstream ss;
   ss << "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n";
   EXPECT_THROW(load_obj(ss), std::runtime_error);
+}
+
+TEST(ObjIo, RejectsCollinearAndRepeatedIndexFaces) {
+  std::stringstream collinear("v 0 0 0\nv 1 1 0\nv 2 2 1\nf 1 2 3\n");
+  EXPECT_THROW(load_obj(collinear), std::invalid_argument);
+  std::stringstream repeated("v 0 0 0\nv 1 0 0\nv 0 1 1\nf 1 1 2\n");
+  EXPECT_THROW(load_obj(repeated), std::invalid_argument);
 }
 
 }  // namespace
