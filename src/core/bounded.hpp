@@ -31,6 +31,9 @@ namespace thsr {
 /// magnitudes below stay inside __int128.
 inline constexpr u32 kMaxBudgetSamples = 4096;
 
+/// Largest |y_lo|, |y_hi| a budget may name (see the width analysis below).
+inline constexpr i64 kMaxBudgetY = i64{1} << 60;
+
 /// The y-sample lattice of a target raster: `y_samples` = width*supersample
 /// uniform sub-columns over the closed image window [y_lo, y_hi]. Sample i
 /// (0 <= i < y_samples) sits at the exact rational ordinate
@@ -40,7 +43,7 @@ inline constexpr u32 kMaxBudgetSamples = 4096;
 /// identical — as an exact rational — to raster::sample_y of the same
 /// window/resolution (raster::pixel_budget builds one from RasterOptions).
 struct PixelBudget {
-  i64 y_lo{0};       ///< window west bound (inclusive), |y_lo| <= 2*kMaxCoord
+  i64 y_lo{0};       ///< window west bound (inclusive), |y_lo| <= kMaxBudgetY
   i64 y_hi{1};       ///< window east bound (inclusive), y_lo < y_hi
   u32 y_samples{1};  ///< width*supersample, in [1, kMaxBudgetSamples]
 
@@ -53,14 +56,18 @@ struct PixelBudget {
 /// one throws std::invalid_argument rather than aborting.
 ///
 /// Width analysis (DESIGN.md section 1.12). Sample i sits at s_i = y_lo +
-/// (2i+1)E/D with E = y_hi - y_lo <= 2^23 and D = 2*y_samples <= 2^13. For a
-/// breakpoint y = p/q (|p| <= 2^67, 0 < q <= 2^45 by section 5):
+/// (2i+1)E/D with |y_lo|, |y_hi| <= kMaxBudgetY = 2^60, so E = y_hi - y_lo
+/// <= 2^61, and D = 2*y_samples <= 2^13. For a breakpoint y = p/q
+/// (|p| <= 2^67, 0 < q <= 2^45 by section 5):
 ///
 ///     s_i >= y  <=>  (2i+1) * E * q >= (p - y_lo * q) * D.
 ///
-/// |p - y_lo*q| <= 2^67 + 2^22 * 2^45 = 2^68, so the right side is below
-/// 2^81; the left side is below 2^13 * 2^23 * 2^45 = 2^81. Both fit __int128
-/// with > 45 bits to spare — the predicate is exact with no fallback tier.
+/// |p - y_lo*q| <= 2^67 + 2^105 < 2^106, so the right side is below 2^119;
+/// the left side is below 2^13 * 2^61 * 2^45 = 2^119. Every product stays
+/// below 2^120 — exact in __int128 with no fallback tier. The wide window
+/// bound exists for rebased callers: a streamed slab solves against the
+/// global sample lattice shifted by its rebase offset, which reaches ~2^53
+/// on tall grids (stream/stream.hpp).
 class BoundedPrune {
  public:
   explicit BoundedPrune(const PixelBudget& b)
@@ -94,8 +101,8 @@ class BoundedPrune {
     if (b.y_samples < 1 || b.y_samples > kMaxBudgetSamples) {
       throw std::invalid_argument("PixelBudget: y_samples must be in [1, kMaxBudgetSamples]");
     }
-    if (b.y_lo < -2 * kMaxCoord || b.y_hi > 2 * kMaxCoord) {
-      throw std::invalid_argument("PixelBudget: window exceeds 2*kMaxCoord");
+    if (b.y_lo < -kMaxBudgetY || b.y_hi > kMaxBudgetY) {
+      throw std::invalid_argument("PixelBudget: window exceeds kMaxBudgetY");
     }
     return b.y_hi - b.y_lo;
   }

@@ -2,9 +2,9 @@
 /// \file band_writer.hpp
 /// Incremental image emitters for the out-of-core pipeline (src/stream/):
 /// the full output raster never exists in memory — finished column bands
-/// land on disk as they are produced, either spliced into one seekable
-/// 16-bit PGM (PgmBandWriter) or written as a set of georeferenced `.asc`
-/// column tiles (AscTileSet).
+/// land on disk as they are produced, either copied into one 16-bit PGM
+/// mapped from disk (PgmBandWriter) or written as a set of georeferenced
+/// `.asc` column tiles (AscTileSet).
 ///
 /// Both writers enforce the pipeline's tiling contract mechanically: a
 /// band overlapping an already-written column throws immediately, and
@@ -14,7 +14,7 @@
 /// asserts on the in-memory sink).
 
 #include <cstdint>
-#include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,36 +23,45 @@
 
 namespace thsr::io {
 
-/// Writes one width x height 16-bit grayscale PGM (P5, the write_pgm
-/// format: big-endian sample bytes) band by band. The header and a
-/// zero-filled payload are written at construction, so the file has its
-/// final size up front; each band is spliced in with per-row seeks.
+/// Writes one width x height grayscale PGM (P5, byte-identical to
+/// io::write_pgm of the finished image: one byte per sample up to maxval
+/// 255, two big-endian bytes above) band by band. The constructor sizes
+/// the file once — header plus a zero payload, every block reserved up
+/// front, so a full disk fails there with a typed error — and maps it
+/// shared; each band's rows are then copied straight into the mapping,
+/// with no seek or write call per row. Where the platform lacks mmap or
+/// posix_fallocate (macOS, Windows) the same contract runs over a
+/// seekable file stream.
 class PgmBandWriter {
  public:
-  /// Opens `path` and writes header + zeroed payload; throws on failure.
+  /// Creates `path` at its final size; throws std::runtime_error when it
+  /// cannot be opened, sized or mapped.
   PgmBandWriter(const std::string& path, u32 width, u32 height, std::uint16_t maxval = 65535);
   ~PgmBandWriter();
   PgmBandWriter(const PgmBandWriter&) = delete;
   PgmBandWriter& operator=(const PgmBandWriter&) = delete;
 
-  /// Splice columns [col_lo, col_hi): `samples` is the row-major band,
-  /// (col_hi - col_lo) * height values <= maxval. Throws on an empty or
-  /// out-of-range band, a sample above maxval, overlap with a previous
-  /// band, or stream failure.
+  /// Copy in columns [col_lo, col_hi): `samples` is the row-major band,
+  /// (col_hi - col_lo) * height values <= maxval. Throws std::runtime_error
+  /// on an empty or out-of-range band, a short buffer, a sample above
+  /// maxval, overlap with a previous band, or a write after finish();
+  /// nothing is written then.
   void write_band(u32 col_lo, u32 col_hi, std::span<const std::uint16_t> samples);
 
-  /// Flush and validate: throws unless every column was written exactly
-  /// once. The destructor never validates (errors must not escape it).
+  /// Validate and close: throws unless every column was written exactly
+  /// once. The destructor closes without validating (errors must not
+  /// escape it).
   void finish();
 
   u32 width() const noexcept { return width_; }
   u32 height() const noexcept { return height_; }
 
  private:
-  std::ofstream os_;
+  struct File;  ///< the open output (a shared mapping, or a file stream)
+  std::unique_ptr<File> file_;
   u32 width_, height_;
   std::uint16_t maxval_;
-  std::streamoff payload_{0};
+  std::size_t payload_{0};              ///< header bytes before the samples
   std::vector<unsigned char> covered_;  ///< per-column write count (0/1)
   bool finished_{false};
 };

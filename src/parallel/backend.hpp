@@ -182,16 +182,21 @@ void fan_items(std::size_t n, F&& f) {
     for (std::size_t i = 0; i < n; ++i) f(i);
     return;
   }
-  // Tasks must not throw (pool.hpp): keep the first exception and rethrow
-  // it on the calling thread once every item has finished.
+  // Tasks must not throw (pool.hpp): keep the lowest-index item's exception
+  // and rethrow it on the calling thread once every item has finished —
+  // the error the inline loop above would report, whatever the schedule.
   std::exception_ptr error;
+  std::size_t error_index = n;
   std::mutex error_mu;
   auto item = [&](std::size_t i) {
     try {
       f(i);
     } catch (...) {
       const std::lock_guard<std::mutex> lk(error_mu);
-      if (!error) error = std::current_exception();
+      if (i < error_index) {
+        error = std::current_exception();
+        error_index = i;
+      }
     }
   };
   run_root_task([&] { detail::fan_items_tree(0, n, item); });

@@ -36,6 +36,22 @@ i64 quantize_height(double v, const LatticeOptions& opt) {
   return static_cast<i64>(std::llround(s));
 }
 
+u64 window_triangles(u32 cols, u32 rows, std::span<const double> values,
+                     std::optional<double> nodata) {
+  THSR_CHECK(values.size() >= std::size_t{rows} * cols);
+  if (rows < 2) return 0;
+  if (!nodata) return u64{2} * (cols - 1) * (rows - 1);
+  const auto data = [&](std::size_t i) { return values[i] != *nodata; };
+  u64 n = 0;
+  for (u32 rr = 0; rr + 1 < rows; ++rr) {
+    const std::size_t top = std::size_t{rr} * cols, bot = top + cols;
+    for (u32 cc = 0; cc + 1 < cols; ++cc) {
+      n += data(top + cc) && data(top + cc + 1) && data(bot + cc) && data(bot + cc + 1) ? 2 : 0;
+    }
+  }
+  return n;
+}
+
 SlabBuild build_rows(u32 cols, u32 row_lo, u32 row_hi, std::span<const double> values,
                      std::optional<double> nodata, u64 tri_base, const LatticeOptions& opt) {
   THSR_CHECK(cols >= 2 && row_lo < row_hi);

@@ -90,6 +90,12 @@ struct SlabBuild {
   bool empty() const { return tri_count == 0; }
 };
 
+/// Triangles `build_rows` creates from a `rows`-row window (row-major
+/// `values`): two per cell whose four corners hold data. Lets the stream
+/// fix every window's `tri_base` in slab order before any window is built.
+u64 window_triangles(u32 cols, u32 rows, std::span<const double> values,
+                     std::optional<double> nodata);
+
 /// Build grid rows [row_lo, row_hi) (row-major `values`, (row_hi-row_lo)
 /// * cols samples) on the streaming lattice with row_base = row_lo.
 /// `tri_base` is the global id of the window's first triangle — the total

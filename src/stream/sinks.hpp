@@ -7,8 +7,9 @@
 ///   harness for the property tests and benches (only usable at sizes
 ///   where the whole raster fits; the out-of-core paths below are the
 ///   point of the pipeline).
-/// - PgmCoverageBandSink splices coverage into one 16-bit PGM on disk via
-///   io::PgmBandWriter (resident state: one band row buffer).
+/// - PgmCoverageBandSink copies coverage into one 16-bit PGM on disk via
+///   io::PgmBandWriter (resident state: one band's samples; the file
+///   itself is a shared mapping whose pages the kernel writes back).
 /// - AscTileBandSink writes per-band georeferenced depth tiles via
 ///   io::AscTileSet, NODATA where no surface is visible.
 /// - NullBandSink discards bands (timing lanes).

@@ -51,16 +51,28 @@ u64 map_bytes(const VisibilityMap& m) {
          m.k_pieces() * sizeof(VisiblePiece);
 }
 
-/// One slab window in flight: rows, build, solve result, and the bytes it
-/// currently has charged to the meter.
+u64 scan_bytes(const raster::BandScan& s) {
+  return s.ids.size() * sizeof(u32) + s.depths.size() * sizeof(double);
+}
+
+/// One slab window in flight. The caller fills the window's rows, its
+/// triangle-id base and its band in slab order; the slab task builds,
+/// prepares, solves and scans it, and records what it held so the caller
+/// can charge the meter afterwards, again in slab order.
 struct Slab {
   u32 index{0};
   u32 row_lo{0}, row_hi{0};  ///< grid rows loaded [row_lo, row_hi)
-  i64 cut_lo{0}, cut_hi{0};  ///< owned sample ordinates [cut_lo, cut_hi)
+  u32 sub_lo{0}, sub_hi{0};  ///< image sub-columns the slab owns
   u64 tri_base{0};           ///< global id of the window's first triangle
-  SlabBuild build;
-  std::optional<HsrResult> result;
-  u64 charged{0};
+  u64 tri_step{0};           ///< triangles above the shared last cell row
+  std::vector<double> vals;  ///< the window's rows (released by the task)
+  u64 vals_bytes{0};
+  // Filled by the task.
+  u64 tri_count{0};
+  u64 held_bytes{0};  ///< terrain, id map and visibility map
+  u64 k_pieces{0};
+  Counters work{};
+  raster::BandScan scan;
 };
 
 }  // namespace
@@ -85,6 +97,10 @@ void AscFileRowSource::reset() { reader_->reset(); }
 
 StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sink) {
   if (opt.resident_slabs == 0) throw std::invalid_argument("stream: resident_slabs must be >= 1");
+  if (opt.solve.pixel_budget) {
+    throw std::invalid_argument(
+        "stream: solve.pixel_budget must be unset (each slab derives its own from the image)");
+  }
   raster::RasterOptions ropt;
   ropt.width = opt.width;
   ropt.height = opt.height;
@@ -144,11 +160,43 @@ StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sin
 
   ropt.window = window;  // never consulted by scan_band (window passed explicitly)
 
-  // The whole run executes under one executor configuration; per-slab
-  // solves run at one thread inside it (the ShardedEngine convention).
+  // The whole run executes under one executor configuration; each slab
+  // task runs its solve at one thread (the ShardedEngine convention).
   const par::ScopedConfig cfg(opt.solve.threads, opt.solve.backend);
   HsrOptions slab_opt = opt.solve;
   slab_opt.threads = 1;
+
+  // The whole slab, on whichever worker picks it up: build the rebased
+  // window, prepare, solve at raster precision, scan its band. Only the
+  // scan outlives the task.
+  const auto run_slab = [&](Slab& sl, HsrEngine& engine) {
+    const SlabBuild b =
+        build_rows(C, sl.row_lo, sl.row_hi, sl.vals, nodata, sl.tri_base, opt.lattice);
+    THSR_DCHECK(b.tri_count - b.last_row_tris == sl.tri_step);
+    sl.vals = {};
+    sl.tri_count = b.tri_count;
+    // Rebased window: the slab's coordinates carry row_base = row_lo, so
+    // shift the global window down by the exact same amount. Every exact
+    // kernel is shift-invariant in y (dem_lattice.hpp), and so is the
+    // budget's sample lattice (DESIGN.md section 1.12): the bounded solve
+    // prunes against exactly the samples the band scan reads.
+    const i64 dy = ystep * i64{sl.row_lo};
+    const raster::ImageWindow swin{window.y_lo - dy, window.y_hi - dy, window.z_lo, window.z_hi};
+    if (b.empty()) {
+      sl.scan = raster::scan_band(nullptr, nullptr, nullptr, swin, ropt, sl.sub_lo, sl.sub_hi);
+      return;
+    }
+    engine.prepare(b.terrain);
+    HsrOptions so = slab_opt;
+    so.pixel_budget = PixelBudget{swin.y_lo, swin.y_hi, W * sup};
+    HsrResult r = engine.solve(so);
+    sl.held_bytes = b.terrain.footprint_bytes() + b.global_tri.size() * sizeof(u32) +
+                    map_bytes(r.map);
+    sl.k_pieces = r.stats.k_pieces;
+    sl.work = r.stats.work;
+    sl.scan = raster::scan_band(&b.terrain, &r.map, &b.global_tri, swin, ropt, sl.sub_lo,
+                                sl.sub_hi);
+  };
 
   // Sub-column carry across band boundaries: when a boundary splits a
   // pixel column's `sup` sub-columns, the already-scanned ones wait here
@@ -157,6 +205,69 @@ StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sin
   std::vector<double> carry_depths;
   u64 carry_charged = 0;
   u32 next_sub = 0;  // tiling cursor: every band must start exactly here
+
+  // Aggregate one scanned band (after the carry) into completed pixel
+  // columns and emit them; the trailing partial pixel becomes the carry.
+  const auto emit_band = [&](Slab& sl) {
+    raster::BandScan& scan = sl.scan;
+    const u64 band_bytes = scan_bytes(scan);
+    const u64 band_crossings = scan.crossings, band_hits = scan.hit_samples;
+
+    // Prepend the carried sub-columns; the combined range is pixel
+    // aligned on the left by the carry invariant. The scan's bytes were
+    // charged after the fan; the combined copy replaces them.
+    std::vector<u32> comb_ids = std::move(carry_ids);
+    std::vector<double> comb_depths = std::move(carry_depths);
+    carry_ids = {};
+    carry_depths = {};
+    comb_ids.insert(comb_ids.end(), scan.ids.begin(), scan.ids.end());
+    comb_depths.insert(comb_depths.end(), scan.depths.begin(), scan.depths.end());
+    res.add(band_bytes);  // the combined copy, alongside the scan itself
+    scan = raster::BandScan{};
+    res.sub(band_bytes);
+
+    const u32 lo = sl.sub_lo, hi = sl.sub_hi;
+    const u32 carry_n = static_cast<u32>(comb_ids.size() / hs) - (hi - lo);
+    const u32 start_sub = lo - carry_n;
+    THSR_CHECK(start_sub % sup == 0);
+    const u32 pix_start = start_sub / sup;
+    const u32 pix_end = hi / sup;
+
+    if (pix_end > pix_start) {
+      const u32 pw = pix_end - pix_start;
+      raster::ImageRaster band;
+      band.width = pw;
+      band.height = H;
+      band.supersample = sup;
+      band.window = window;
+      const std::size_t px = std::size_t{pw} * H;
+      band.ids.assign(px, raster::kNoTriangle);
+      band.depth.assign(px, 0.0f);
+      band.coverage.assign(px, 0.0f);
+      band.crossings = band_crossings;
+      band.hit_samples = band_hits;
+      res.add(px * (sizeof(u32) + 2 * sizeof(float)));
+      for (u32 c = 0; c < pw; ++c) {
+        raster::detail::aggregate_column(
+            c, pw, H, sup, std::span(comb_ids).subspan(std::size_t{c} * sup * hs, sup * hs),
+            std::span(comb_depths).subspan(std::size_t{c} * sup * hs, sup * hs), band.ids,
+            band.depth, band.coverage);
+      }
+      band.samples = u64{pw} * sup * H * sup;
+      sink.emit(pix_start, pix_end, band);
+      ++stats.bands_emitted;
+      res.sub(px * (sizeof(u32) + 2 * sizeof(float)));
+    }
+
+    // Retain the trailing partial pixel column as the next carry.
+    const u32 new_carry = hi - pix_end * sup;
+    res.sub(carry_charged);
+    carry_ids.assign(comb_ids.end() - std::ptrdiff_t{new_carry} * hs, comb_ids.end());
+    carry_depths.assign(comb_depths.end() - std::ptrdiff_t{new_carry} * hs, comb_depths.end());
+    carry_charged = carry_ids.size() * sizeof(u32) + carry_depths.size() * sizeof(double);
+    res.add(carry_charged);
+    res.sub(band_bytes);  // the combined copy retires
+  };
 
   // Two-row tail of the last loaded window: consecutive windows overlap
   // in exactly these rows, so the source is only ever read forward.
@@ -176,164 +287,76 @@ StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sin
       engine_charged.push_back(0);
     }
 
-    // Load, build, and prepare the group's windows sequentially.
+    // Read the group's windows strictly forward and fix each slab's id
+    // base and image band, in slab order.
     std::vector<Slab> group(gn);
     for (u32 gi = 0; gi < gn; ++gi) {
       Slab& sl = group[gi];
       sl.index = g0 + gi;
       const u32 r_lo = static_cast<u32>(std::min<u64>(u64{sl.index} * slab_rows, R - 1));
       const u32 r_hi = static_cast<u32>(std::min<u64>(u64{sl.index + 1} * slab_rows, R - 1));
-      sl.cut_lo = ystep * i64{r_lo};
-      sl.cut_hi = ystep * i64{r_hi};
       sl.row_lo = r_lo == 0 ? 0 : r_lo - 1;
       sl.row_hi = r_hi + 1;
-      sl.tri_base = tri_base;
+      const i64 cut_lo = ystep * i64{r_lo}, cut_hi = ystep * i64{r_hi};
+      sl.sub_lo = raster::first_sub(window, W, sup, cut_lo, /*strictly_greater=*/false);
+      sl.sub_hi = sl.index + 1 == S
+                      ? W * sup
+                      : raster::first_sub(window, W, sup, cut_hi, /*strictly_greater=*/false);
+      THSR_CHECK(sl.sub_lo == next_sub);  // bands tile the image by construction
+      next_sub = sl.sub_hi;
 
       const u32 wr = sl.row_hi - sl.row_lo;
-      std::vector<double> vals(std::size_t{wr} * C);
-      res.add(vals.size() * sizeof(double));
+      sl.vals.resize(std::size_t{wr} * C);
+      sl.vals_bytes = sl.vals.size() * sizeof(double);
+      res.add(sl.vals_bytes);
       u32 have = 0;
       if (tail_rows > 0 && tail_row_lo <= sl.row_lo && sl.row_lo < tail_row_lo + tail_rows) {
         const u32 off = sl.row_lo - tail_row_lo;
         have = std::min(tail_rows - off, wr);
-        std::copy_n(tail.begin() + std::size_t{off} * C, std::size_t{have} * C, vals.begin());
+        std::copy_n(tail.begin() + std::size_t{off} * C, std::size_t{have} * C, sl.vals.begin());
       }
       if (have < wr) {
         src.read_rows(sl.row_lo + have, sl.row_hi,
-                      std::span(vals).subspan(std::size_t{have} * C));
+                      std::span(sl.vals).subspan(std::size_t{have} * C));
         stats.rows_read += sl.row_hi - (sl.row_lo + have);
       }
       const u32 keep = std::min<u32>(2, wr);
       res.sub(tail_charged);
-      tail.assign(vals.end() - std::ptrdiff_t{keep} * C, vals.end());
+      tail.assign(sl.vals.end() - std::ptrdiff_t{keep} * C, sl.vals.end());
       tail_charged = tail.size() * sizeof(double);
       res.add(tail_charged);
       tail_row_lo = sl.row_hi - keep;
       tail_rows = keep;
 
-      sl.build = build_rows(C, sl.row_lo, sl.row_hi, vals, nodata, tri_base, opt.lattice);
-      tri_base += sl.build.tri_count - sl.build.last_row_tris;
-      if (sl.index + 1 == S) stats.triangles = sl.tri_base + sl.build.tri_count;
-      res.sub(vals.size() * sizeof(double));
-      vals = {};
-
-      sl.charged = sl.build.terrain.footprint_bytes() + sl.build.global_tri.size() * sizeof(u32);
-      res.add(sl.charged);
-      if (!sl.build.empty()) engines[gi]->prepare(sl.build.terrain);
+      // The next window re-counts this one's last cell row.
+      sl.tri_base = tri_base;
+      sl.tri_step = window_triangles(C, wr - 1, sl.vals, nodata);
+      tri_base += sl.tri_step;
     }
 
-    // Fan the group's solves — one threads = 1 solve per engine, the same
-    // shape for every budget, so counters cannot depend on B.
-    par::fan_items(gn, [&](std::size_t gi) {
-      Slab& sl = group[gi];
-      if (!sl.build.empty()) sl.result = engines[gi]->solve(slab_opt);
-    });
+    // Whole-slab tasks: one threads = 1 solve per engine, the same shape
+    // for every budget, so counters cannot depend on B or the schedule.
+    par::fan_items(gn, [&](std::size_t gi) { run_slab(group[gi], *engines[gi]); });
+
+    // Charge what the tasks held, in slab order: every slab of the group
+    // may have been resident at once. Then release all but the scans, and
+    // aggregate and emit the bands in slab order.
     for (u32 gi = 0; gi < gn; ++gi) {
       const u64 fp = engines[gi]->arena_footprint_bytes();
       if (fp > engine_charged[gi]) {
         res.add(fp - engine_charged[gi]);
         engine_charged[gi] = fp;
       }
-      if (group[gi].result) {
-        const u64 mb = map_bytes(group[gi].result->map);
-        group[gi].charged += mb;
-        res.add(mb);
-      }
+      res.add(group[gi].held_bytes + scan_bytes(group[gi].scan));
     }
-
-    // Scan each slab's band, aggregate completed pixel columns, emit,
-    // free — in slab order.
-    for (u32 gi = 0; gi < gn; ++gi) {
-      Slab& sl = group[gi];
-      const u32 lo = raster::first_sub(window, W, sup, sl.cut_lo, /*strictly_greater=*/false);
-      const u32 hi = sl.index + 1 == S
-                         ? W * sup
-                         : raster::first_sub(window, W, sup, sl.cut_hi, /*strictly_greater=*/false);
-      THSR_CHECK(lo == next_sub);  // bands tile the image by construction
-      next_sub = hi;
-
-      // Rebased window: the slab's coordinates carry row_base = row_lo,
-      // so shift the global window down by the exact same amount. Every
-      // exact kernel is shift-invariant in y (dem_lattice.hpp).
-      const i64 dy = ystep * i64{sl.row_lo};
-      const raster::ImageWindow swin{window.y_lo - dy, window.y_hi - dy, window.z_lo, window.z_hi};
-      const Terrain* tp = sl.build.empty() ? nullptr : &sl.build.terrain;
-      const VisibilityMap* mp = sl.result ? &sl.result->map : nullptr;
-      const std::vector<u32>* tmap = sl.build.empty() ? nullptr : &sl.build.global_tri;
-      raster::BandScan scan = raster::scan_band(tp, mp, tmap, swin, ropt, lo, hi);
-      const u64 scan_bytes =
-          scan.ids.size() * sizeof(u32) + scan.depths.size() * sizeof(double);
-      res.add(scan_bytes);
-
-      const u64 band_crossings = scan.crossings, band_hits = scan.hit_samples;
-      stats.crossings += scan.crossings;
-      stats.hit_samples += scan.hit_samples;
-      if (sl.result) {
-        stats.work += sl.result->stats.work;
-        stats.k_pieces += sl.result->stats.k_pieces;
-      }
-
-      // Free the solve state before aggregation: only the scanned samples
-      // are needed from here on. sl.charged covers the terrain, the global
-      // id map, and the visibility map in one figure.
-      sl.result.reset();
-      res.sub(sl.charged);
-      sl.charged = 0;
-      sl.build = SlabBuild{};
-
-      // Prepend the carried sub-columns; the combined range is pixel
-      // aligned on the left by the carry invariant.
-      std::vector<u32> comb_ids = std::move(carry_ids);
-      std::vector<double> comb_depths = std::move(carry_depths);
-      carry_ids = {};
-      carry_depths = {};
-      comb_ids.insert(comb_ids.end(), scan.ids.begin(), scan.ids.end());
-      comb_depths.insert(comb_depths.end(), scan.depths.begin(), scan.depths.end());
-      res.add(scan_bytes);  // the combined copy, alongside the scan itself
-      scan = raster::BandScan{};
-      res.sub(scan_bytes);
-
-      const u32 carry_n = static_cast<u32>(comb_ids.size() / hs) - (hi - lo);
-      const u32 start_sub = lo - carry_n;
-      THSR_CHECK(start_sub % sup == 0);
-      const u32 pix_start = start_sub / sup;
-      const u32 pix_end = hi / sup;
-
-      if (pix_end > pix_start) {
-        const u32 pw = pix_end - pix_start;
-        raster::ImageRaster band;
-        band.width = pw;
-        band.height = H;
-        band.supersample = sup;
-        band.window = window;
-        const std::size_t px = std::size_t{pw} * H;
-        band.ids.assign(px, raster::kNoTriangle);
-        band.depth.assign(px, 0.0f);
-        band.coverage.assign(px, 0.0f);
-        band.crossings = band_crossings;
-        band.hit_samples = band_hits;
-        res.add(px * (sizeof(u32) + 2 * sizeof(float)));
-        for (u32 c = 0; c < pw; ++c) {
-          raster::detail::aggregate_column(
-              c, pw, H, sup, std::span(comb_ids).subspan(std::size_t{c} * sup * hs, sup * hs),
-              std::span(comb_depths).subspan(std::size_t{c} * sup * hs, sup * hs), band.ids,
-              band.depth, band.coverage);
-        }
-        band.samples = u64{pw} * sup * H * sup;
-        sink.emit(pix_start, pix_end, band);
-        ++stats.bands_emitted;
-        res.sub(px * (sizeof(u32) + 2 * sizeof(float)));
-      }
-
-      // Retain the trailing partial pixel column as the next carry.
-      const u32 new_carry = hi - pix_end * sup;
-      res.sub(carry_charged);
-      carry_ids.assign(comb_ids.end() - std::ptrdiff_t{new_carry} * hs, comb_ids.end());
-      carry_depths.assign(comb_depths.end() - std::ptrdiff_t{new_carry} * hs, comb_depths.end());
-      carry_charged =
-          carry_ids.size() * sizeof(u32) + carry_depths.size() * sizeof(double);
-      res.add(carry_charged);
-      res.sub(scan_bytes);  // the combined copy retires
+    for (const Slab& sl : group) res.sub(sl.vals_bytes + sl.held_bytes);
+    for (Slab& sl : group) {
+      stats.crossings += sl.scan.crossings;
+      stats.hit_samples += sl.scan.hit_samples;
+      stats.work += sl.work;
+      stats.k_pieces += sl.k_pieces;
+      if (sl.index + 1 == S) stats.triangles = sl.tri_base + sl.tri_count;
+      emit_band(sl);
       ++stats.slabs;
     }
   }

@@ -5,31 +5,43 @@
 /// budget (DESIGN.md section 1.11).
 ///
 /// The pipeline walks the grid north to south in **slab windows** on the
-/// streaming lattice (dem_lattice.hpp): load a window's rows, build its
-/// rebased terrain, `prepare()` + solve it with a recycled HsrEngine,
+/// streaming lattice (dem_lattice.hpp), `resident_slabs` windows at a
+/// time. The caller reads each group's rows strictly forward and fixes
+/// every window's triangle-id base and image band in slab order; then one
+/// par::fan_items runs a **whole-slab task** per window — build its
+/// rebased terrain, `prepare()` and solve it with a recycled HsrEngine,
 /// scan-convert its disjoint band of image sub-columns (raster::scan_band
 /// against the *unstitched* slab map, exactly the rasterize_sharded
-/// band-ownership rule), aggregate completed pixel columns, hand them to a
-/// BandSink, free the slab, advance. At most `resident_slabs` windows are
-/// ever materialized at once — the streaming analogue of Haverkort &
-/// Toma's bounded-memory grid traversal — and every byte the pipeline
-/// holds (row buffers, slab terrains, engine arenas, maps, band buffers)
-/// is charged to a residency meter whose peak is reported and, when
-/// `resident_bytes_budget` is set, *enforced*: exceeding it throws, so a
-/// bench run completing at all is the resident-bytes gate
-/// (bench/bench_stream.cpp).
+/// band-ownership rule). Back on the caller, in slab order, the group's
+/// holdings are charged to the residency meter, completed pixel columns
+/// are aggregated and handed to a BandSink, and the group is freed. At
+/// most `resident_slabs` windows are ever materialized at once — the
+/// streaming analogue of Haverkort & Toma's bounded-memory grid traversal
+/// — and every byte the pipeline holds (row buffers, slab terrains, engine
+/// arenas, maps, band buffers) is charged to a meter whose peak is
+/// reported and, when `resident_bytes_budget` is set, *enforced*:
+/// exceeding it throws, so a bench run completing at all is the
+/// resident-bytes gate (bench/bench_stream.cpp).
 ///
-/// **Determinism.** The emitted image — ids, depths, coverage — and the
-/// work counters are bit-identical across backends, thread counts, and
-/// every resident_slabs budget, and the image is bit-identical to the
-/// monolithic solve (`terrain_from_rows` + `rasterize` under the same
-/// `stream_window`) whenever the grid is small enough for both to run
+/// **Raster precision.** The stream only ever emits a raster, so each slab
+/// solves with a PixelBudget (core/bounded.hpp): the image's own sample
+/// lattice shifted onto the slab's rebased coordinates. Structure between
+/// two samples is never materialized, and the raster stays bitwise the
+/// exact solve's (DESIGN.md section 1.12). There is no exact stream: a
+/// caller's `solve.pixel_budget` is rejected.
+///
+/// **Determinism.** The emitted image — ids, depths, coverage — the work
+/// counters and the meter's peak are bit-identical across backends and
+/// thread counts; image and counters also across every resident_slabs
+/// budget. The image is bit-identical to the monolithic exact solve
+/// (`terrain_from_rows` + `rasterize` under the same `stream_window`)
+/// whenever the grid is small enough for both to run
 /// (tests/test_stream.cpp). The budget controls *when* slabs are resident,
-/// never *what* is computed: all budgets run the identical per-slab solves
-/// and scans, fanned with par::fan_items in groups, so counters cannot
-/// drift. Crossing/hit counters are attributed to the band that scanned
-/// the sub-column, so their totals — though not their per-band split at
-/// supersample > 1 — equal the monolithic rasterization's.
+/// never *what* is computed: all budgets run the identical per-slab tasks,
+/// so counters cannot drift. Crossing/hit counters are attributed to the
+/// band that scanned the sub-column, so their totals — though not their
+/// per-band split at supersample > 1 — equal the monolithic
+/// rasterization's.
 ///
 /// **Two passes.** Height quantization needs the global z range before the
 /// first slab solves; unless StreamOptions::z_range pins it, a prescan
@@ -85,9 +97,9 @@ class GridRowSource final : public RowSource {
 };
 
 /// RowSource over an .asc file via AscRowReader (memory-mapped when the
-/// platform allows). This is the path with **no total-size cap**: only
-/// the reader's single-row buffer and the pipeline's slab windows are
-/// ever resident.
+/// platform allows, else read in 64 KiB chunks). This is the path with
+/// **no total-size cap**: only the reader's window on the file and the
+/// pipeline's slab windows are ever resident.
 class AscFileRowSource final : public RowSource {
  public:
   explicit AscFileRowSource(const std::string& path, bool prefer_mmap = true);
@@ -108,10 +120,10 @@ struct StreamOptions {
   /// exceed the budget are rejected at run time.
   u32 slab_rows{0};
   /// Resident-slab budget B >= 1 (checked): slabs are processed in groups
-  /// of B — B windows loaded and prepared sequentially, their solves
-  /// fanned over the backend, then each band scanned, emitted, and freed
-  /// in slab order. B trades resident bytes for solve parallelism; the
-  /// output is identical for every B.
+  /// of B — B windows read in slab order, one task per window fanned over
+  /// the backend (build, prepare, solve, scan its band), then each band
+  /// aggregated, emitted, and freed in slab order. B trades resident bytes
+  /// for parallelism; the output is identical for every B.
   u32 resident_slabs{1};
   /// When nonzero: throw std::runtime_error the moment tracked resident
   /// bytes would exceed this. 0 = track peak only.
@@ -125,7 +137,8 @@ struct StreamOptions {
   u32 supersample{1};  ///< samples per pixel axis
   /// Per-slab solve configuration. threads/backend scope the *group* fan
   /// (ShardedEngine convention); the per-slab solves themselves run at
-  /// threads = 1 on their workers.
+  /// threads = 1 on their workers. `pixel_budget` must stay unset: each
+  /// slab derives its own from the image (see Raster precision above).
   HsrOptions solve{};
 };
 
@@ -146,11 +159,13 @@ struct StreamStats {
   u32 bands_emitted{0};    ///< nonempty pixel bands handed to the sink
   u64 rows_read{0};        ///< grid rows parsed (both passes)
   u64 triangles{0};        ///< global triangle count
-  u64 k_pieces{0};         ///< summed per-slab output size
+  u64 k_pieces{0};         ///< summed per-slab output size of the bounded
+                           ///< (raster-precision) solves
   u64 crossings{0};        ///< visible-edge crossings scanned (== monolithic)
   u64 hit_samples{0};      ///< samples hitting a triangle (== monolithic)
   u64 samples{0};          ///< total image samples
-  Counters work{};         ///< summed solve work counters (budget-invariant)
+  Counters work{};         ///< summed work counters of the slabs' bounded
+                           ///< prepare + solve (budget-invariant)
   u64 peak_resident_bytes{0};  ///< peak of the residency meter
   u64 max_rss_bytes{0};        ///< getrusage max RSS probe (informational;
                                ///< whole process, machine-dependent)
@@ -160,9 +175,11 @@ struct StreamStats {
 
 /// Run the pipeline: solve + rasterize `src` into `sink`.
 /// \throws std::invalid_argument, before reading any row, when
-///         resident_slabs == 0 or the raster dimensions fail
-///         raster::validate; std::runtime_error on malformed input,
-///         coordinate-budget or resident-budget violations.
+///         resident_slabs == 0, solve.pixel_budget is set, or the raster
+///         dimensions fail raster::validate; std::runtime_error on
+///         malformed input, coordinate-budget or resident-budget
+///         violations (the lowest slab's error when several slabs of one
+///         group fail).
 StreamStats stream_solve(RowSource& src, const StreamOptions& opt, BandSink& sink);
 
 /// Convenience: stream straight out of an .asc file.

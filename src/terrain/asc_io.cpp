@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
-#include <streambuf>
+#include <string_view>
 
 #include "support/check.hpp"
 
@@ -38,46 +38,206 @@ inline constexpr std::size_t kMaxAscSamples = 100'000'000;
                                   : "load_asc: " + what);
 }
 
-std::string lower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
+/// Bytes the unmapped and istream sources read at a time. No number token
+/// may be this long: every token then fits one window whole.
+inline constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
+
+bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+std::string lower(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return out;
 }
 
-/// Shared header parser behind load_asc_grid and AscRowReader. Reads
-/// header lines until the first data line. In consume mode (`pending` not
-/// null) that data line lands in *pending; in seek mode the stream is
-/// repositioned to its start, which requires a seekable source.
-AscHeader parse_asc_header(std::istream& is, std::string* pending) {
+/// For a decimal token std::from_chars found out of range (sign already
+/// stripped): true when its magnitude is below 1 — an underflow — false
+/// when above — an overflow. Compares the decimal order of the first
+/// significant digit plus the exponent against zero; the exponent
+/// saturates, so no token length can overflow the sum.
+bool underflows(const char* p, const char* e) {
+  i64 order = 0;  // value = 0.d1d2... * 10^order
+  bool sig = false, frac = false;
+  for (; p != e && *p != 'e' && *p != 'E'; ++p) {
+    if (*p == '.') {
+      frac = true;
+    } else if (*p != '0' || sig) {
+      sig = true;
+      if (!frac) ++order;
+    } else if (frac) {
+      --order;  // a zero between the point and the first significant digit
+    }
+  }
+  i64 exp = 0;
+  if (p != e) {
+    ++p;
+    const bool neg = *p == '-';
+    if (*p == '+' || *p == '-') ++p;
+    for (; p != e; ++p) exp = std::min<i64>(exp * 10 + (*p - '0'), i64{1} << 40);
+    if (neg) exp = -exp;
+  }
+  return order + exp <= 0;
+}
+
+/// The one number parser of .asc text (header values and heights alike):
+/// a whole whitespace-delimited token in the syntax `istream >> double`
+/// accepts in the classic locale — an optional sign, decimal digits with
+/// an optional point and at least one digit, an optional exponent; never
+/// inf, nan or hex — with `>>`'s value: correctly rounded, an underflow
+/// read as a signed zero. An overflow is rejected, as `>>` fails on it.
+bool parse_number(std::string_view tok, double& out) {
+  const char* p = tok.data();
+  const char* const e = p + tok.size();
+  const bool neg = p != e && *p == '-';
+  if (p != e && (*p == '+' || *p == '-')) ++p;
+  // from_chars would also take a second sign, inf and nan.
+  if (p == e || !(is_digit(*p) || *p == '.')) return false;
+  double v = 0;
+  const auto [end, ec] = std::from_chars(p, e, v);
+  if (end != e) return false;
+  if (ec == std::errc::result_out_of_range) {
+    if (!underflows(p, e)) return false;
+    v = 0.0;
+  } else if (ec != std::errc{}) {
+    return false;
+  }
+  out = neg ? -v : v;
+  return true;
+}
+
+/// Byte cursor over an .asc source: one window over a whole mapped file,
+/// or a kChunkBytes window refilled from a stream — so the unmapped and
+/// istream sources never hold more than one chunk of the payload. Offsets
+/// count bytes from where the source started; every token handed out lies
+/// whole inside the window and stays valid until the next call.
+class Scanner {
+ public:
+  Scanner(const char* b, std::size_t n) : data_(b), len_(n) {}
+  explicit Scanner(std::istream& is)
+      : is_(&is), start_(is.tellg()), buf_(kChunkBytes), data_(buf_.data()) {}
+
+  u64 offset() const noexcept { return base_ + pos_; }
+
+  /// Reposition to an offset offset() returned earlier.
+  void seek(u64 off) {
+    if (off >= base_ && off - base_ <= len_) {
+      pos_ = static_cast<std::size_t>(off - base_);
+      return;
+    }
+    THSR_CHECK(is_ != nullptr);  // a mapped window holds every offset
+    is_->clear();
+    if (start_ == std::streampos(-1) || !is_->seekg(start_ + static_cast<std::streamoff>(off))) {
+      fail("streaming reads need a seekable source");
+    }
+    base_ = off;
+    pos_ = len_ = 0;
+    eof_ = false;
+  }
+
+  /// Skip whitespace, stopping at '\n' when `within_line`: the next byte,
+  /// or -1 at the end of input.
+  int skip_space(bool within_line) {
+    while (true) {
+      for (; pos_ < len_; ++pos_) {
+        const char c = data_[pos_];
+        if (!is_space(c) || (within_line && c == '\n')) return static_cast<unsigned char>(c);
+      }
+      if (!refill()) return -1;
+    }
+  }
+
+  /// The whitespace-free run at the cursor (empty at a space or the end).
+  std::string_view take_token() {
+    std::size_t n = 0;
+    while (true) {
+      while (pos_ + n < len_ && !is_space(data_[pos_ + n])) ++n;
+      if (pos_ + n < len_ || !refill()) break;  // refill keeps the partial token
+    }
+    if (n >= kChunkBytes) fail("a token of " + std::to_string(n) + " bytes is too long");
+    const std::string_view tok(data_ + pos_, n);
+    pos_ += n;
+    return tok;
+  }
+
+  /// The next token across any whitespace (empty at the end of input).
+  std::string_view next_token() {
+    return skip_space(/*within_line=*/false) < 0 ? std::string_view{} : take_token();
+  }
+
+  /// Move past the next '\n' (or to the end of input).
+  void skip_line() {
+    while (true) {
+      const void* nl = std::memchr(data_ + pos_, '\n', len_ - pos_);
+      if (nl != nullptr) {
+        pos_ = static_cast<std::size_t>(static_cast<const char*>(nl) - data_) + 1;
+        return;
+      }
+      pos_ = len_;
+      if (!refill()) return;
+    }
+  }
+
+ private:
+  /// Slide the unread bytes to the window's front and read on; false when
+  /// no byte was added (a mapped window, or the end of the stream).
+  bool refill() {
+    if (is_ == nullptr || eof_) return false;
+    const std::size_t keep = len_ - pos_;
+    if (keep == buf_.size()) fail("a token of " + std::to_string(keep) + "+ bytes is too long");
+    std::memmove(buf_.data(), buf_.data() + pos_, keep);
+    base_ += pos_;
+    pos_ = 0;
+    len_ = keep;
+    is_->read(buf_.data() + len_, static_cast<std::streamsize>(buf_.size() - len_));
+    const auto got = static_cast<std::size_t>(is_->gcount());
+    eof_ = len_ + got < buf_.size();
+    len_ += got;
+    return got > 0;
+  }
+
+  std::istream* is_{nullptr};
+  std::streampos start_{0};
+  std::vector<char> buf_;
+  const char* data_{nullptr};
+  std::size_t len_{0};  ///< valid bytes in the window
+  std::size_t pos_{0};  ///< cursor within the window
+  u64 base_{0};         ///< offset of data_[0]
+  bool eof_{false};
+};
+
+/// Reads header lines up to the first data line, leaving the scanner at
+/// that line's first token. Each header line is a key and a number; the
+/// rest of the line is ignored.
+AscHeader parse_asc_header(Scanner& sc) {
   AscHeader g;
   bool saw_ncols = false, saw_nrows = false, saw_x = false, saw_y = false, saw_cell = false;
   bool x_centered = false, y_centered = false;
   std::size_t lineno = 0;
-  std::string line;
 
   while (true) {
-    const std::istream::pos_type before = pending == nullptr ? is.tellg()
-                                                             : std::istream::pos_type(-1);
-    if (!std::getline(is, line)) break;
+    const int c0 = sc.skip_space(/*within_line=*/true);
+    if (c0 < 0) break;
     ++lineno;
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key)) continue;  // blank line
-    const std::string k = lower(key);
-    const bool is_key = !k.empty() && (std::isalpha(static_cast<unsigned char>(k[0])) != 0);
-    if (!is_key) {
-      // Header over: this line already holds data.
-      if (pending != nullptr) {
-        *pending = line;
-      } else {
-        is.clear();
-        if (before == std::istream::pos_type(-1) || !is.seekg(before)) {
-          fail("streaming reads need a seekable source");
-        }
-      }
+    if (c0 == '\n') {  // blank line
+      sc.skip_line();
+      continue;
+    }
+    const u64 line_at = sc.offset();
+    const std::string key(sc.take_token());
+    if (std::isalpha(static_cast<unsigned char>(key[0])) == 0) {
+      sc.seek(line_at);  // header over: this line already holds data
       break;
     }
+    const std::string k = lower(key);
     double v = 0;
-    if (!(ls >> v)) fail("header key '" + key + "' has no numeric value", lineno);
+    const int c1 = sc.skip_space(/*within_line=*/true);
+    if (c1 < 0 || c1 == '\n' || !parse_number(sc.take_token(), v)) {
+      fail("header key '" + key + "' has no numeric value", lineno);
+    }
+    sc.skip_line();
     const auto set = [&](double& slot, bool& seen) {
       if (seen) fail("duplicate header key '" + key + "'", lineno);
       slot = v;
@@ -112,49 +272,38 @@ AscHeader parse_asc_header(std::istream& is, std::string* pending) {
   return g;
 }
 
-}  // namespace
-
-AscGrid load_asc_grid(std::istream& is) {
-  std::string pending;  // first data line (the one that ended the header)
-  const AscHeader h = parse_asc_header(is, &pending);
-  AscGrid g;
-  g.ncols = h.ncols;
-  g.nrows = h.nrows;
-  g.xll = h.xll;
-  g.yll = h.yll;
-  g.cell_centered = h.cell_centered;
-  g.cellsize = h.cellsize;
-  g.nodata = h.nodata;
-
-  const std::size_t want = static_cast<std::size_t>(g.ncols) * g.nrows;
+/// Rows [row_lo, row_hi) of `rd` as an AscGrid with the given south edge,
+/// under the loader's total-sample cap.
+AscGrid read_grid(AscRowReader& rd, u32 row_lo, u32 row_hi, double yll) {
+  const AscHeader& h = rd.header();
+  const std::size_t want = static_cast<std::size_t>(row_hi - row_lo) * h.ncols;
   if (want > kMaxAscSamples) {
     fail("grid declares " + std::to_string(want) + " samples, over the " +
          std::to_string(kMaxAscSamples) + " loader cap");
   }
-  g.values.reserve(want);
-  const auto consume = [&](std::istream& vs) {
-    double v;
-    while (g.values.size() < want && vs >> v) g.values.push_back(v);
-    if (g.values.size() < want && !vs.eof()) {
-      fail("non-numeric height sample after " + std::to_string(g.values.size()) + " values");
-    }
-  };
-  {
-    std::istringstream first(pending);
-    consume(first);
-  }
-  consume(is);
-  if (g.values.size() < want) {
-    fail("expected " + std::to_string(want) + " height samples, file ends after " +
-         std::to_string(g.values.size()));
-  }
+  AscGrid g;
+  g.ncols = h.ncols;
+  g.nrows = row_hi - row_lo;
+  g.xll = h.xll;
+  g.yll = yll;
+  g.cell_centered = h.cell_centered;
+  g.cellsize = h.cellsize;
+  g.nodata = h.nodata;
+  g.values.resize(want);
+  rd.read_rows(row_lo, row_hi, g.values);
   return g;
 }
 
+}  // namespace
+
+AscGrid load_asc_grid(std::istream& is) {
+  AscRowReader rd(is);
+  return read_grid(rd, 0, rd.header().nrows, rd.header().yll);
+}
+
 AscGrid load_asc_grid(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("load_asc: cannot open " + path);
-  return load_asc_grid(is);
+  AscRowReader rd(path);
+  return read_grid(rd, 0, rd.header().nrows, rd.header().yll);
 }
 
 void save_asc_grid(const AscGrid& g, std::ostream& os) {
@@ -294,51 +443,20 @@ Terrain load_asc(const std::string& path, const AscTerrainOptions& opt) {
   return terrain_from_asc(load_asc_grid(path), opt);
 }
 
-namespace {
-
-/// Zero-copy seekable streambuf over a byte range (the mmap view). Only
-/// the get area is wired up; seekoff/seekpos make tellg/seekg work so the
-/// row-offset index applies to mapped and file-backed readers alike.
-class MemBuf : public std::streambuf {
- public:
-  MemBuf(const char* b, const char* e) : b_(b), e_(e) {
-    setg(const_cast<char*>(b_), const_cast<char*>(b_), const_cast<char*>(e_));
-  }
-
- protected:
-  pos_type seekoff(off_type off, std::ios_base::seekdir dir, std::ios_base::openmode which) override {
-    if ((which & std::ios_base::in) == 0) return pos_type(off_type(-1));
-    const char* base = dir == std::ios_base::beg ? b_ : dir == std::ios_base::cur ? gptr() : e_;
-    const char* target = base + off;
-    if (target < b_ || target > e_) return pos_type(off_type(-1));
-    setg(const_cast<char*>(b_), const_cast<char*>(target), const_cast<char*>(e_));
-    return pos_type(target - b_);
-  }
-  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
-    return seekoff(off_type(pos), std::ios_base::beg, which);
-  }
-
- private:
-  const char* b_;
-  const char* e_;
-};
-
-}  // namespace
-
 struct AscRowReader::Impl {
-  std::ifstream file;                    ///< file-backed fallback
-  std::unique_ptr<MemBuf> membuf;        ///< mmap view, when mapped
-  std::unique_ptr<std::istream> owned;   ///< istream over membuf
-  std::istream* in{nullptr};             ///< whichever source backs reads
-
+  std::ifstream file;  ///< unmapped source, read in chunks
   void* map_addr{nullptr};
   std::size_t map_len{0};
+  std::optional<Scanner> sc;
 
   AscHeader header;
   u32 next_row{0};
-  std::istream::pos_type payload_pos{0};
-  std::vector<std::istream::pos_type> row_off;  ///< start offset of each visited row
+  u64 payload_pos{0};
+  std::vector<u64> row_off;  ///< start offset of each visited row
 
+  Impl() = default;
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
   ~Impl() {
 #ifdef THSR_ASC_MMAP
     if (map_addr != nullptr) ::munmap(map_addr, map_len);
@@ -346,11 +464,11 @@ struct AscRowReader::Impl {
   }
 
   void init() {
-    header = parse_asc_header(*in, /*pending=*/nullptr);
+    header = parse_asc_header(*sc);
     if (header.ncols > kMaxAscSamples) {
       fail("row of " + std::to_string(header.ncols) + " samples exceeds the per-row cap");
     }
-    payload_pos = in->tellg();
+    payload_pos = sc->offset();
   }
 
   void read_one(std::span<double> out) {
@@ -358,25 +476,25 @@ struct AscRowReader::Impl {
     if (next_row >= header.nrows) {
       fail("read past the last row (" + std::to_string(header.nrows) + " declared)");
     }
-    if (row_off.size() == next_row) row_off.push_back(in->tellg());
+    if (row_off.size() == next_row) row_off.push_back(sc->offset());
     for (u32 c = 0; c < header.ncols; ++c) {
-      double v = 0;
-      if (!(*in >> v)) {
-        if (in->eof()) {
-          fail("row " + std::to_string(next_row) + " ends after " + std::to_string(c) + " of " +
-               std::to_string(header.ncols) +
-               " samples (payload truncated or header dims oversized)");
-        }
-        fail("non-numeric height sample in row " + std::to_string(next_row));
+      const std::string_view tok = sc->next_token();
+      if (tok.empty()) {
+        fail("row " + std::to_string(next_row) + " ends after " + std::to_string(c) + " of " +
+             std::to_string(header.ncols) +
+             " samples (payload truncated or header dims oversized)");
       }
-      out[c] = v;
+      if (!parse_number(tok, out[c])) {
+        fail("non-numeric height sample '" + std::string(tok.substr(0, 32)) + "' in row " +
+             std::to_string(next_row));
+      }
     }
     ++next_row;
   }
 };
 
 AscRowReader::AscRowReader(std::istream& is) : impl_(std::make_unique<Impl>()) {
-  impl_->in = &is;
+  impl_->sc.emplace(is);
   impl_->init();
 }
 
@@ -394,10 +512,7 @@ AscRowReader::AscRowReader(const std::string& path, bool prefer_mmap)
         if (addr != MAP_FAILED) {
           im.map_addr = addr;
           im.map_len = static_cast<std::size_t>(st.st_size);
-          const char* b = static_cast<const char*>(addr);
-          im.membuf = std::make_unique<MemBuf>(b, b + im.map_len);
-          im.owned = std::make_unique<std::istream>(im.membuf.get());
-          im.in = im.owned.get();
+          im.sc.emplace(static_cast<const char*>(addr), im.map_len);
         }
       }
       ::close(fd);
@@ -406,10 +521,10 @@ AscRowReader::AscRowReader(const std::string& path, bool prefer_mmap)
 #else
   (void)prefer_mmap;
 #endif
-  if (im.in == nullptr) {
-    im.file.open(path);
+  if (!im.sc) {
+    im.file.open(path, std::ios::binary);
     if (!im.file) throw std::runtime_error("load_asc: cannot open " + path);
-    im.in = &im.file;
+    im.sc.emplace(im.file);
   }
   im.init();
 }
@@ -438,8 +553,7 @@ void AscRowReader::read_rows(u32 row_lo, u32 row_hi, std::span<double> out) {
   THSR_CHECK(out.size() >= static_cast<std::size_t>(row_hi - row_lo) * im.header.ncols);
   if (row_lo < im.next_row) {
     // Already visited: its byte offset is on record — seek, do not reparse.
-    im.in->clear();
-    if (!im.in->seekg(im.row_off[row_lo])) fail("seek to recorded row offset failed");
+    im.sc->seek(im.row_off[row_lo]);
     im.next_row = row_lo;
   } else if (row_lo > im.next_row) {
     skip_rows(row_lo - im.next_row);
@@ -451,8 +565,7 @@ void AscRowReader::read_rows(u32 row_lo, u32 row_hi, std::span<double> out) {
 
 void AscRowReader::reset() {
   Impl& im = *impl_;
-  im.in->clear();
-  if (!im.in->seekg(im.payload_pos)) fail("seek to payload start failed");
+  im.sc->seek(im.payload_pos);
   im.next_row = 0;
 }
 
@@ -463,24 +576,9 @@ AscGrid load_asc_window(const std::string& path, u32 row_lo, u32 row_hi) {
     fail("window rows [" + std::to_string(row_lo) + ", " + std::to_string(row_hi) +
          ") outside the declared " + std::to_string(h.nrows) + " rows");
   }
-  const std::size_t want = static_cast<std::size_t>(row_hi - row_lo) * h.ncols;
-  if (want > kMaxAscSamples) {
-    fail("window declares " + std::to_string(want) + " samples, over the " +
-         std::to_string(kMaxAscSamples) + " loader cap");
-  }
-  AscGrid g;
-  g.ncols = h.ncols;
-  g.nrows = row_hi - row_lo;
-  g.xll = h.xll;
   // The window's southernmost row is source row row_hi-1: the dropped
   // southern rows shift the lower-left origin north.
-  g.yll = h.yll + static_cast<double>(h.nrows - row_hi) * h.cellsize;
-  g.cell_centered = h.cell_centered;
-  g.cellsize = h.cellsize;
-  g.nodata = h.nodata;
-  g.values.resize(want);
-  r.read_rows(row_lo, row_hi, g.values);
-  return g;
+  return read_grid(r, row_lo, row_hi, h.yll + static_cast<double>(h.nrows - row_hi) * h.cellsize);
 }
 
 }  // namespace thsr

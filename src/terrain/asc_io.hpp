@@ -22,6 +22,17 @@
 /// All loaders throw std::runtime_error on malformed input (missing or
 /// duplicate header keys, short or non-numeric data, out-of-range
 /// heights), with the offending line in the message.
+///
+/// **Numbers.** One parser reads every number of the file — header values
+/// and heights, for every loader and source: a whole whitespace-delimited
+/// token (space, tab, \v, \f, CR, LF) with an optional sign, decimal
+/// digits with an optional point and at least one digit, and an optional
+/// exponent — the syntax `istream >> double` accepts in the classic
+/// locale, read to the same bits (correctly rounded, an underflow as a
+/// signed zero). inf, nan, hex floats, overflowing values, tokens with
+/// trailing garbage (also after the payload's last value) and tokens of
+/// 64 KiB or more are rejected. Parsing is std::from_chars over the bytes
+/// of the file.
 
 #include <iosfwd>
 #include <memory>
@@ -51,6 +62,8 @@ struct AscGrid {
   bool is_nodata(u32 row, u32 col) const { return nodata && at(row, col) == *nodata; }
 };
 
+/// Parse a whole grid (an AscRowReader pass; the path overload maps the
+/// file). Caps ncols * nrows at 10^8 samples.
 AscGrid load_asc_grid(std::istream& is);
 AscGrid load_asc_grid(const std::string& path);
 
@@ -130,13 +143,13 @@ struct AscHeader {
 /// ASan).
 ///
 /// The path constructor memory-maps the file when the platform allows
-/// (zero-copy: the payload is parsed straight out of the mapping through
-/// a streambuf view) and falls back to buffered ifstream reads; the
-/// istream constructor serves in-memory tests. Either way the underlying
-/// source must be seekable: byte offsets of visited rows are recorded as
-/// the reader advances, so windowed re-reads (`read_rows`) and a second
-/// pass (`reset`, e.g. a z-range prescan before the solve pass) seek
-/// instead of re-parsing from the top.
+/// (zero-copy: the payload is parsed straight out of the mapping) and
+/// otherwise reads it in fixed 64 KiB chunks; the istream constructor
+/// reads its stream in the same chunks, so neither ever holds the whole
+/// payload. Byte offsets of visited rows are recorded as the reader
+/// advances, so windowed re-reads (`read_rows`) and a second pass
+/// (`reset`, e.g. a z-range prescan before the solve pass) seek instead of
+/// re-parsing from the top — which needs a seekable stream.
 class AscRowReader {
  public:
   /// Wrap a seekable stream (not owned; must outlive the reader).

@@ -110,7 +110,60 @@ TEST(BoundedPrune, RejectsInvalidBudgets) {
   EXPECT_THROW(BoundedPrune(PixelBudget{5, 5, 8}), std::invalid_argument);
   EXPECT_THROW(BoundedPrune(PixelBudget{0, 1, 0}), std::invalid_argument);
   EXPECT_THROW(BoundedPrune(PixelBudget{0, 1, kMaxBudgetSamples + 1}), std::invalid_argument);
-  EXPECT_THROW(BoundedPrune(PixelBudget{-(i64{1} << 40), 1, 8}), std::invalid_argument);
+  EXPECT_THROW(BoundedPrune(PixelBudget{-kMaxBudgetY - 1, 1, 8}), std::invalid_argument);
+  EXPECT_THROW(BoundedPrune(PixelBudget{0, kMaxBudgetY + 1, 8}), std::invalid_argument);
+  // Rebased stream windows sit far from the origin: legal up to the bound.
+  EXPECT_NO_THROW(BoundedPrune(PixelBudget{-(i64{1} << 40), 1, 8}));
+  const BoundedPrune widest(PixelBudget{-kMaxBudgetY, kMaxBudgetY, kMaxBudgetSamples});
+  // The widest budget still decides section-5 breakpoints exactly (the
+  // mul128 overflow checks of a debug build watch every product here).
+  const QY far{(i128{1} << 67) - 1, (i128{1} << 45) - 1};
+  const QY near{-(i128{1} << 67) + 1, (i128{1} << 45) - 1};
+  EXPECT_TRUE(widest.sample_free(near, far));  // a 2^23-wide sliver of a 2^61 window
+  EXPECT_FALSE(widest.sample_free(QY::of(-kMaxBudgetY), QY::of(kMaxBudgetY)));
+}
+
+// sample_free is translation invariant: shifting window and interval by
+// the same integer d (up to +-2^53, the rebase offsets of tall streamed
+// grids) never changes the answer, and both agree with a brute-force scan
+// of the raster's sample lattice. This is what lets a streamed slab prune
+// against the global lattice shifted onto its rebased coordinates.
+TEST(BoundedPrune, SampleFreeIsTranslationInvariant) {
+  auto g = test::rng(4053);
+  const auto segs = test::random_segments(91, 60, /*range=*/kMaxCoord / 2);
+  std::uniform_int_distribution<std::size_t> pick(0, segs.size() - 1);
+  std::uniform_int_distribution<int> res(1, 48);
+  std::uniform_int_distribution<i64> shift(-(i64{1} << 53), i64{1} << 53);
+  std::uniform_int_distribution<i64> lo(-kMaxCoord, kMaxCoord);
+  std::uniform_int_distribution<i64> extent(1, 4 * kMaxCoord);
+  const auto breakpoint = [&]() {
+    for (int tries = 0; tries < 8; ++tries) {
+      const Seg2 &a = segs[pick(g)], &b = segs[pick(g)];
+      if (auto cr = line_crossing(a, b)) return *cr;
+    }
+    return QY::of(lo(g));
+  };
+  const auto shifted = [](const QY& y, i64 d) { return QY(y.p + mul128(d, y.q), y.q); };
+  for (int iter = 0; iter < 3000; ++iter) {
+    const u32 n = static_cast<u32>(res(g));
+    const i64 y_lo = lo(g), y_hi = y_lo + extent(g);
+    const i64 d = shift(g);
+    QY y0 = breakpoint(), y1 = breakpoint();
+    if (cmp(y1, y0) < 0) std::swap(y0, y1);
+    // Local frame: the slab's small coordinates against the shifted window.
+    const bool local = BoundedPrune(PixelBudget{y_lo - d, y_hi - d, n}).sample_free(y0, y1);
+    // Global frame: the unshifted window against the interval moved by d.
+    const QY g0 = shifted(y0, d), g1 = shifted(y1, d);
+    const bool global = BoundedPrune(PixelBudget{y_lo, y_hi, n}).sample_free(g0, g1);
+    const raster::ImageWindow win{y_lo, y_hi, 0, 1};
+    bool has_sample = false;
+    for (u32 i = 0; i < n && !has_sample; ++i) {
+      const QY s = raster::sample_y(win, n, 1, i);
+      has_sample = cmp(g0, s) <= 0 && cmp(s, g1) <= 0;
+    }
+    EXPECT_EQ(local, global) << "n=" << n << " d=" << d;
+    EXPECT_EQ(global, !has_sample) << "n=" << n << " d=" << d;
+  }
 }
 
 // ------------------------------------------------------- raster identity

@@ -1,8 +1,9 @@
 /// Differential fuzz harness: randomized terrain / viewpoint / algorithm /
 /// oracle / backend tuples, cross-checked pairwise across independent solve
-/// paths — engine vs one-shot shim, sharded vs monolithic, streamed vs
-/// monolithic, bounded vs exact raster, triangle-local vs full-sweep depth
-/// order. Every iteration derives its own
+/// paths — engine vs one-shot shim, sharded vs monolithic, streamed
+/// (bounded) vs monolithic (exact), bounded vs exact raster, triangle-local
+/// vs full-sweep depth order — and random `.asc` text read by every source
+/// vs the `>>` reference. Every iteration derives its own
 /// seed and logs it; on a mismatch the failure message carries exact
 /// reproduction instructions.
 ///
@@ -15,11 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <sstream>
 #include <string>
 
+#include "asc_reference.hpp"
 #include "core/engine.hpp"
 #include "core/hsr.hpp"
 #include "raster/oracle.hpp"
@@ -263,6 +266,103 @@ TEST(Differential, HoledDemOrderVsSweep) {
     const DepthOrder got = compute_depth_order(t), want = sweep_depth_order(t);
     EXPECT_EQ(got.order, want.order);
     EXPECT_EQ(got.rank, want.rank);
+  }
+}
+
+/// Word `i` (modulo the count) of a space-separated list.
+std::string pick_word(const std::string& list, u64 i) {
+  std::istringstream in(list);
+  std::vector<std::string> words;
+  for (std::string w; in >> w;) words.push_back(w);
+  return words[i % words.size()];
+}
+
+/// Extreme spellings: the subnormal floor, underflows (read as zero), a
+/// signed zero, the largest double, more digits than a double holds.
+const std::string kExtremeTokens =
+    "4.9e-324 1e-400 -1e-400 2e-324 0e999 -0 "
+    "1.7976931348623157e308 123456789012345678901234567890";
+
+/// Tokens `>>` does not read whole: dangling exponent, doubled sign, words,
+/// extra points, inf/nan, hex, overflow, glued values.
+const std::string kMalformedTokens = "1e --1 x 1.2.3 inf nan 0x10 +-1 . 1e400 5- 1,5";
+
+/// A random spelling of a height: signs, leading zeros, bare points,
+/// fixed and exponent forms, extremes, the NODATA value.
+std::string random_token(std::mt19937_64& g) {
+  char buf[64];
+  const double v = std::uniform_real_distribution<double>(-5000, 5000)(g);
+  const auto whole = static_cast<long long>(v);
+  const int digits = static_cast<int>(g() % 17);
+  switch (g() % 10) {
+    case 0:
+      std::snprintf(buf, sizeof buf, "%+lld", whole);
+      break;
+    case 1:
+      std::snprintf(buf, sizeof buf, "%05lld", whole < 0 ? -whole : whole);
+      break;
+    case 2:
+      std::snprintf(buf, sizeof buf, "%.*f", digits % 6, v);
+      break;
+    case 3:
+      std::snprintf(buf, sizeof buf, "%.17g", v);
+      break;
+    case 4:
+      std::snprintf(buf, sizeof buf, g() % 2 ? "%.*e" : "%.*E", digits, v);
+      break;
+    case 5:
+      std::snprintf(buf, sizeof buf, "%lld.", whole);
+      break;
+    case 6:
+      std::snprintf(buf, sizeof buf, "%s.%03d", g() % 2 ? "-" : "+", digits * 61);
+      break;
+    case 7:
+      return pick_word(kExtremeTokens, g());
+    default:
+      return "-9999";
+  }
+  return buf;
+}
+
+/// Whitespace between tokens: spaces, tabs, \v, \f and every line ending.
+std::string random_gap(std::mt19937_64& g) {
+  const char* const gaps[] = {" ", "  ", "\t", "\v", "\f", "\n", "\r\n", " \r\n\n", "\t \r\n"};
+  std::string out = gaps[g() % 9];
+  if (g() % 4 == 0) out += gaps[g() % 9];
+  return out;
+}
+
+// Random DEM text — random spacing, line wraps, CRLF and mixed endings,
+// NODATA, sometimes one malformed token or trailing text — read by every
+// source (load_asc_grid over a stream and a path; AscRowReader mapped,
+// unmapped and over a stream) must equal the `>>` reference, reject
+// included. Grids span several of the unmapped sources' 64 KiB chunks.
+TEST(Differential, AscTextParsers) {
+  for (u64 i = 0; i < fuzz_iters(); ++i) {
+    const u64 seed = iter_seed(fuzz_seed(), i);
+    SCOPED_TRACE(repro("AscTextParsers", seed));
+    std::mt19937_64 g{seed};
+    // >= 12,000 tokens: ~150 KB of text, several 64 KiB chunks.
+    const u32 cols = 2 + static_cast<u32>(g() % 40);
+    const u32 rows = 12'000 / cols + static_cast<u32>(g() % 400);
+    const auto eol = [&] { return g() % 3 == 0 ? "\r\n" : "\n"; };
+    std::string text = std::string("ncols ") + std::to_string(cols) + eol() + "nrows " +
+                       std::to_string(rows) + eol() + "xllcorner 0" + eol() + "yllcorner 0" +
+                       eol() + "cellsize 1" + eol();
+    if (g() % 2 == 0) text += std::string("NODATA_value -9999") + eol();
+    std::string payload;
+    const std::size_t want = std::size_t{cols} * rows;
+    const std::size_t bad = g() % 3 == 0 ? g() % want : want;  // index of a malformed token
+    for (std::size_t k = 0; k < want; ++k) {
+      payload += k == bad ? pick_word(kMalformedTokens, g()) : random_token(g);
+      payload += random_gap(g);
+    }
+    if (g() % 4 == 0) payload += "trailing text after the grid\n";
+    const std::string path =
+        ::testing::TempDir() + "/thsr_asc_text_" + std::to_string(seed) + ".asc";
+    test::expect_reads_match(test::read_every_way(text + payload, path),
+                             test::reference_payload(payload, want),
+                             std::to_string(cols) + "x" + std::to_string(rows) + " DEM text");
   }
 }
 

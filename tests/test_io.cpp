@@ -1,17 +1,21 @@
 /// IO tests: the PGM/PPM image writers (round-trip + malformed input),
-/// the `.asc` grid writer round-trip, SVG rendering, and the bench table
-/// builder (Markdown + CSV).
+/// the stream's mapped PGM band writer, the `.asc` grid writer round-trip
+/// and number parser (parity with `istream >> double`), SVG rendering, and
+/// the bench table formatter (Markdown + CSV).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <random>
 #include <sstream>
 
+#include "asc_reference.hpp"
 #include "core/hsr.hpp"
 #include "envelope/build.hpp"
+#include "io/band_writer.hpp"
 #include "io/csv.hpp"
 #include "io/image.hpp"
 #include "io/svg.hpp"
@@ -495,6 +499,157 @@ TEST(AscReader, NodataOnlyWindowLoadsButDoesNotTriangulate) {
   // Loading is fine; building terrain from a dataless window is the error.
   EXPECT_THROW((void)terrain_from_asc(win), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The .asc number parser: every source reads a token exactly when `>>`
+// reads the whole token, to the same bits (reference: asc_reference.hpp)
+// ---------------------------------------------------------------------------
+
+std::string asc_header(u32 ncols, u32 nrows, const char* eol = "\n") {
+  return "ncols " + std::to_string(ncols) + eol + "nrows " + std::to_string(nrows) + eol +
+         "xllcorner 0" + eol + "yllcorner 0" + eol + "cellsize 1" + eol;
+}
+
+TEST(AscParser, TokenCorpusMatchesStreamExtraction) {
+  const std::string path = ::testing::TempDir() + "/thsr_token.asc";
+  // Accepted by `>>`: signs, leading zeros, bare points, exponents, the
+  // subnormal floor and underflows (read as zero). Rejected: overflow,
+  // inf/nan, hex, dangling exponents, doubled or lone signs, lone points,
+  // trailing garbage.
+  const std::string accepted =
+      "+5 -.5 5. 007 1E-5 4.9e-324 1e-400 -1e-400 2e-324 0e999 +.5 -0 1.e5 "
+      "1.7976931348623157e308 12345678901234567890123456789 "
+      "3.14159265358979323846264338327950288419716939937510";
+  const std::string rejected =
+      "1e400 1.7976931348623159e308 inf nan -inf INF infinity 0x1p3 0x10 1e 1e+ 1ee5 --1 +-1 "
+      ". - + .e5 1.2.3 1e5e 1d5 4x 1,5 1-2";
+  std::vector<std::string> corpus;
+  for (const std::string& list : {accepted, rejected}) {
+    std::istringstream words(list);
+    for (std::string w; words >> w;) corpus.push_back(w);
+  }
+  for (const std::string& tok : corpus) {
+    const std::optional<double> ref = test::reference_number(tok);
+    // The token inside a row and as the payload's final value: a trailing
+    // remainder is rejected in both places.
+    for (const bool last : {false, true}) {
+      const std::string payload = last ? "1 " + tok + "\n" : tok + " 1\n";
+      std::optional<std::vector<double>> want;
+      if (ref) want = last ? std::vector<double>{1.0, *ref} : std::vector<double>{*ref, 1.0};
+      test::expect_reads_match(test::read_every_way(asc_header(2, 1) + payload, path), want,
+                               "'" + tok + "'" + (last ? " (last)" : ""));
+    }
+  }
+}
+
+TEST(AscParser, SeparatorsAndLineWrapsMatchStreamExtraction) {
+  const std::string path = ::testing::TempDir() + "/thsr_separators.asc";
+  // Tab, \v, \f, CRLF, blank lines and values wrapped across lines: only
+  // the token sequence matters, never the line structure.
+  const std::string payload = "+5\t-.5\v5.\f\r\n007\n\n1E-5 \r\n 4.9e-324\r\n";
+  for (const char* eol : {"\n", "\r\n"}) {
+    test::expect_reads_match(test::read_every_way(asc_header(3, 2, eol) + payload, path),
+                             test::reference_payload(payload, 6), "separator payload");
+  }
+}
+
+TEST(AscParser, TokensBeyondOneChunkAreRejectedEverywhere) {
+  const std::string path = ::testing::TempDir() + "/thsr_long_token.asc";
+  // A long but sane token reads everywhere, also where it straddles the
+  // boundary of the unmapped sources' 64 KiB read chunks...
+  const std::string header = asc_header(2, 1);
+  const std::string digits = "0." + std::string(1000, '0') + "125e1003";
+  const std::string padding(65536 - header.size() - digits.size() / 2, ' ');
+  test::expect_reads_match(test::read_every_way(header + padding + digits + " 2\n", path),
+                           std::vector<double>{*test::reference_number(digits), 2.0},
+                           "a 1 KB token");
+  // ...but a single token longer than a chunk (64 KiB) is refused by every
+  // source alike, rather than buffered without bound.
+  const std::string huge = std::string(70000, '0') + "1";
+  test::expect_reads_match(test::read_every_way(asc_header(2, 1) + huge + " 2\n", path),
+                           std::nullopt, "a 70 KB token");
+}
+
+// ---------------------------------------------------------------------------
+// PgmBandWriter (io/band_writer.hpp): the stream's mapped PGM emitter
+// ---------------------------------------------------------------------------
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+/// Columns [lo, hi) of `img`, row-major: what write_band takes.
+std::vector<std::uint16_t> band_of(const io::GrayImage& img, u32 lo, u32 hi) {
+  std::vector<std::uint16_t> out;
+  for (u32 r = 0; r < img.height; ++r) {
+    for (u32 c = lo; c < hi; ++c) out.push_back(img.at(r, c));
+  }
+  return out;
+}
+
+TEST(BandWriter, ContractViolationsThrow) {
+  const std::string path = ::testing::TempDir() + "/thsr_band_contract.pgm";
+  const std::vector<std::uint16_t> samples(8 * 3, 7);
+  {
+    io::PgmBandWriter w(path, 8, 3);
+    w.write_band(2, 5, samples);
+    EXPECT_THROW(w.write_band(4, 6, samples), std::runtime_error);  // overlaps column 4
+    EXPECT_THROW(w.write_band(6, 9, samples), std::runtime_error);  // past the width
+    EXPECT_THROW(w.write_band(6, 6, samples), std::runtime_error);  // empty band
+    EXPECT_THROW(w.write_band(7, 6, samples), std::runtime_error);  // inverted band
+    // A 3x3 band from 8 samples; then finish() with columns 0-1 and 5-7 missing.
+    EXPECT_THROW(w.write_band(5, 8, std::span(samples).first(8)), std::runtime_error);
+    EXPECT_THROW(w.finish(), std::runtime_error);
+    w.write_band(0, 2, samples);
+    w.write_band(5, 8, samples);
+    w.finish();
+    EXPECT_THROW(w.write_band(0, 1, samples), std::runtime_error);  // after finish()
+  }
+  {
+    io::PgmBandWriter w(path, 4, 2, /*maxval=*/255);
+    const std::vector<std::uint16_t> hot{1, 2, 256, 3};
+    EXPECT_THROW(w.write_band(0, 2, hot), std::runtime_error);  // sample above maxval
+    // A rejected band writes nothing: its columns are still free.
+    const std::vector<std::uint16_t> ok{1, 2, 255, 3};
+    w.write_band(0, 2, ok);
+  }
+  std::remove(path.c_str());
+  EXPECT_THROW(io::PgmBandWriter(::testing::TempDir() + "/no_such_dir/band.pgm", 4, 2),
+               std::runtime_error);
+}
+
+TEST(BandWriter, BandsInAnyOrderMatchWritePgm) {
+  const std::string band_path = ::testing::TempDir() + "/thsr_band_any_order.pgm";
+  const std::string whole_path = ::testing::TempDir() + "/thsr_band_whole.pgm";
+  auto g = test::rng(909);
+  for (const std::uint16_t maxval : {std::uint16_t{255}, std::uint16_t{65535}}) {
+    const io::GrayImage img = random_gray(17 + maxval, 23, 7, maxval);
+    // Random cuts, bands written in shuffled column order.
+    std::vector<u32> cuts{0, img.width};
+    for (int i = 0; i < 5; ++i) cuts.push_back(1 + static_cast<u32>(g() % (img.width - 1)));
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    std::vector<std::size_t> order(cuts.size() - 1);
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), g);
+    {
+      io::PgmBandWriter w(band_path, img.width, img.height, maxval);
+      for (const std::size_t b : order) {
+        w.write_band(cuts[b], cuts[b + 1], band_of(img, cuts[b], cuts[b + 1]));
+      }
+      w.finish();
+    }
+    io::write_pgm(img, whole_path);
+    EXPECT_EQ(file_bytes(band_path), file_bytes(whole_path)) << "maxval " << maxval;
+    const io::GrayImage back = io::read_pgm(band_path);
+    EXPECT_EQ(back.pixels, img.pixels) << "maxval " << maxval;
+  }
+  std::remove(band_path.c_str());
+  std::remove(whole_path.c_str());
 }
 
 }  // namespace

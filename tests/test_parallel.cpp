@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -81,6 +82,23 @@ TEST_P(ParallelP, FanItemsDegradesInsideParallelRegions) {
     par::fan_items(16, [&](std::size_t) { total.fetch_add(1, std::memory_order_relaxed); });
   });
   EXPECT_EQ(total.load(), 16);
+}
+
+TEST(FanItems, RethrowsTheLowestIndexError) {
+  // Items 1 and 3 fail with distinct messages; whichever finishes first,
+  // the caller must always see item 1's — the error the inline loop reports.
+  const par::ScopedConfig cfg(4, par::Backend::Pool);
+  for (int run = 0; run < 200; ++run) {
+    try {
+      par::fan_items(6, [](std::size_t i) {
+        if (i == 1) throw std::runtime_error("item 1");
+        if (i == 3) throw std::runtime_error("item 3");
+      });
+      FAIL() << "fan_items swallowed the items' errors";
+    } catch (const std::runtime_error& e) {
+      ASSERT_STREQ(e.what(), "item 1") << "run " << run;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -190,6 +190,39 @@ TEST(Stream, ResidentBudgetZeroRejected) {
   EXPECT_THROW((void)stream::stream_solve(src, opt, sink), std::invalid_argument);
 }
 
+/// Counts the rows a source hands out.
+class CountingSource final : public stream::RowSource {
+ public:
+  explicit CountingSource(const AscGrid& g) : inner_(g) {}
+  u32 rows() const override { return inner_.rows(); }
+  u32 cols() const override { return inner_.cols(); }
+  std::optional<double> nodata() const override { return inner_.nodata(); }
+  void read_rows(u32 row_lo, u32 row_hi, std::span<double> out) override {
+    rows_read += row_hi - row_lo;
+    inner_.read_rows(row_lo, row_hi, out);
+  }
+  void reset() override {}
+  u64 rows_read{0};
+
+ private:
+  stream::GridRowSource inner_;
+};
+
+TEST(Stream, CallerPixelBudgetRejected) {
+  // The stream derives every slab's budget from its rebased window; a
+  // caller's budget would prune against a misaligned lattice and corrupt
+  // the image, so it is refused before any row is read.
+  const AscGrid g = test::make_asc_grid(16, 40, test::GridFamily::Smooth, 3);
+  stream::StreamOptions opt;
+  opt.width = 24;
+  opt.height = 16;
+  opt.solve.pixel_budget = PixelBudget{0, 1001, opt.width};
+  stream::MemoryBandSink sink(opt.width, opt.height, 1);
+  CountingSource src(g);
+  EXPECT_THROW((void)stream::stream_solve(src, opt, sink), std::invalid_argument);
+  EXPECT_EQ(src.rows_read, 0u);
+}
+
 TEST(Stream, ResidentBytesBudgetEnforced) {
   const AscGrid g = test::make_asc_grid(16, 13, test::GridFamily::Smooth, 2);
   stream::StreamOptions opt;
@@ -287,6 +320,67 @@ TEST(Stream, HundredTimesResidentCapacityStreamsAndMatches) {
   EXPECT_LE(st.peak_resident_bytes, opt.resident_bytes_budget);
   expect_bands_tile(sink.bands(), W);
   expect_images_identical(sink.image(), reference_image(g, st.window, W, H, 1));
+}
+
+// ---------------------------------------------------------------------------
+// Tall grids: rebased windows far past 2^22, where the slab budgets sit
+// ---------------------------------------------------------------------------
+
+TEST(Stream, LateSlabOfTallGridBoundedScanEqualsExact) {
+  // 3 x 110,000 grid: a window starting at row 108,000 is rebased by
+  // Delta = 40 * 108,000 > 2^22. Its bounded solve (the global lattice
+  // shifted by -Delta) must scan to exactly the exact solve's band.
+  const u32 C = 3, R = 110'000, lo = 108'000, hi = R;
+  const AscGrid g = test::make_asc_grid(C, R, test::GridFamily::Smooth, 17);
+  const i64 ystep = stream::lattice_ystep(C);
+  ASSERT_GT(ystep * lo, i64{1} << 22);
+  const std::span<const double> rows(g.values.data() + std::size_t{lo} * C,
+                                     std::size_t{hi - lo} * C);
+  const stream::SlabBuild b = stream::build_rows(C, lo, hi, rows, g.nodata, /*tri_base=*/0);
+  ASSERT_FALSE(b.empty());
+
+  raster::RasterOptions ropt;
+  ropt.width = 1024;
+  ropt.height = 24;
+  ropt.supersample = 2;
+  const raster::ImageWindow win = stream::stream_window(C, R, 0, 25);
+  const i64 dy = ystep * lo;
+  const raster::ImageWindow swin{win.y_lo - dy, win.y_hi - dy, win.z_lo, win.z_hi};
+  const u32 sub_lo = raster::first_sub(win, ropt.width, ropt.supersample, ystep * (lo + 1), false);
+  const u32 sub_hi = ropt.width * ropt.supersample;
+  ASSERT_GT(sub_hi - sub_lo, 20u);
+
+  HsrEngine engine;
+  engine.prepare(b.terrain);
+  const HsrResult exact = engine.solve({});
+  HsrOptions bounded_opt;
+  bounded_opt.pixel_budget = PixelBudget{swin.y_lo, swin.y_hi, ropt.width * ropt.supersample};
+  const HsrResult bounded = engine.solve(bounded_opt);
+  EXPECT_LT(bounded.stats.k_pieces, exact.stats.k_pieces);
+  const raster::BandScan want =
+      raster::scan_band(&b.terrain, &exact.map, &b.global_tri, swin, ropt, sub_lo, sub_hi);
+  const raster::BandScan got =
+      raster::scan_band(&b.terrain, &bounded.map, &b.global_tri, swin, ropt, sub_lo, sub_hi);
+  EXPECT_EQ(got.ids, want.ids);
+  EXPECT_EQ(got.depths, want.depths);
+  EXPECT_EQ(got.crossings, want.crossings);
+  EXPECT_EQ(got.hit_samples, want.hit_samples);
+}
+
+TEST(Stream, TallGridStreamsAtDefaultSlabs) {
+  // The derived slab height makes the first window span y up to ~2^22, and
+  // later windows rebase by more: every slab budget must be accepted.
+  const AscGrid g = test::make_asc_grid(3, 110'000, test::GridFamily::Smooth, 17);
+  stream::StreamOptions opt;
+  opt.width = 64;
+  opt.height = 24;
+  opt.resident_slabs = 2;
+  stream::MemoryBandSink sink(opt.width, opt.height, 1);
+  const stream::StreamStats st = stream_grid(g, opt, sink);
+  EXPECT_GT(st.window.y_hi, i64{1} << 22);
+  EXPECT_GE(st.slabs, 3u);
+  EXPECT_GT(st.hit_samples, 0u);
+  expect_bands_tile(sink.bands(), opt.width);
 }
 
 // ---------------------------------------------------------------------------
