@@ -40,11 +40,11 @@
 #include "raster/oracle.hpp"
 #include "raster/raster.hpp"
 #include "service/engine_cache.hpp"
-#include "support/terrain_families.hpp"
 #include "shard/sharded_engine.hpp"
 #include "stream/sinks.hpp"
 #include "stream/stream.hpp"
-#include "stream_grids.hpp"
+#include "support/stream_grids.hpp"
+#include "support/terrain_families.hpp"
 
 namespace {
 
@@ -324,11 +324,12 @@ int run_service_cases(CaseMap& cases) {
 /// Out-of-core streaming workloads (DESIGN.md section 1.11). Counter cases
 /// gate the streamed solve + scan work against the baseline (the synthetic
 /// grids are integer-hash noise, so the counters are host-independent like
-/// every other family). Two built-in hard gates mirror bench_stream: the
-/// streamed raster must be bit-identical to the monolithic solve at every
-/// resident-slab budget (with budget-invariant counters), and the tall case
-/// must complete under an enforced resident-bytes budget. Returns the
-/// number of gate failures.
+/// every other family). Two built-in hard gates: the streamed raster must
+/// be bit-identical to the monolithic solve at every resident-slab budget
+/// (with budget-invariant counters), and the tall case must complete under
+/// an enforced resident-bytes budget (tests/test_stream.cpp holds the same
+/// gates at more budgets and a 3,489-row file). Returns the number of gate
+/// failures.
 int run_stream_cases(CaseMap& cases) {
   int failures = 0;
   const auto base_opt = [](u32 slab_rows, u32 B) {
@@ -353,7 +354,7 @@ int run_stream_cases(CaseMap& cases) {
 
   // Identity: small enough for the monolithic path, compared bitwise.
   {
-    const AscGrid g = bench::stream_grid(32, 48, /*seed=*/7);
+    const AscGrid g = support::stream_grid(32, 48, /*seed=*/7);
     const Terrain terr = stream::terrain_from_rows(g.ncols, g.nrows, g.values, g.nodata);
     i64 z_lo = 0, z_hi = 0;
     bool any = false;
@@ -397,9 +398,10 @@ int run_stream_cases(CaseMap& cases) {
   }
 
   // Tall: ~15 slab windows under an enforced resident-bytes budget (the
-  // full ~100x case runs in bench_stream; this one keeps bench_ci cheap).
+  // ~100x case is test_stream's Stream.ResidencyDoesNotGrowWithRowCount;
+  // this one keeps bench_ci cheap).
   {
-    const AscGrid g = bench::stream_grid(32, 481, /*seed=*/11);
+    const AscGrid g = support::stream_grid(32, 481, /*seed=*/11);
     stream::StreamOptions opt = base_opt(/*slab_rows=*/32, /*B=*/2);
     opt.resident_bytes_budget = 16ull << 20;
     stream::NullBandSink sink;

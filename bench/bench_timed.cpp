@@ -5,17 +5,19 @@
 /// *how fast*, which is inherently host-dependent and therefore never
 /// gated in CI — it produces an artifact, BENCH_TIMED.json, that humans
 /// (or `--diff`) compare across two runs on the *same* host. Protocol per
-/// case (bench/timing.hpp): pin the measuring thread, warm up untimed,
-/// then report the median of `--reps` timed repetitions with IQR and MAD
-/// dispersion. Cases cover cold preparation and the three solve surfaces
-/// whose speed the engine-reuse and flattened-treap work targets: warm
-/// HsrEngine solves, sharded solves, and rasterization — each on the
-/// serial backend at p=1 and on the first scaling backend at p=4, so one
-/// artifact shows both the single-core cost and the parallel win.
+/// case (bench/timing.hpp): warm up untimed, then report the median of
+/// `--reps` timed repetitions with IQR and MAD dispersion. Threads are not
+/// pinned: the pool's workers inherit the main thread's CPU mask, so
+/// pinning it would run every p=4 case on one core. Cases cover cold
+/// preparation and the three solve surfaces whose speed the engine-reuse
+/// and flattened-treap work targets: warm HsrEngine solves, sharded
+/// solves, and rasterization — each on the serial backend at p=1 and on
+/// the first scaling backend at p=4, so one artifact shows both the
+/// single-core cost and the parallel win.
 ///
 /// Usage:
 ///   bench_timed [--out BENCH_TIMED.json] [--reps 9] [--warmup 2]
-///               [--filter SUBSTR] [--quick] [--no-pin]
+///               [--filter SUBSTR] [--quick]
 ///   bench_timed --diff OLD.json NEW.json
 ///
 /// --quick drops to 3 reps / 1 warmup (the CI smoke configuration).
@@ -43,7 +45,7 @@
 #include "shard/sharded_engine.hpp"
 #include "stream/sinks.hpp"
 #include "stream/stream.hpp"
-#include "stream_grids.hpp"
+#include "support/stream_grids.hpp"
 #include "support/terrain_families.hpp"
 #include "timing.hpp"
 
@@ -59,7 +61,6 @@ struct Config {
   int reps = 9;
   int warmup = 2;
   std::string filter;
-  bool pin = true;
 };
 
 /// The (backend, p) pairs every case family runs under. Serial/p1 is the
@@ -231,13 +232,14 @@ void run_service_cases(CaseMap& cases, const Config& cfg) {
 
 /// Out-of-core streaming solves: the full pipeline (prescan, whole-slab
 /// build/prepare/solve/scan tasks, aggregation) over an in-memory grid —
-/// the wall clock bench_stream's gates bound in bytes — and the same
+/// the wall clock of the pipeline whose bytes test_stream's residency test
+/// bounds — and the same
 /// pipeline from an `.asc` file on disk into a PGM on disk, so the lane
 /// also times the row parser and the band writer. resident_slabs = 2 / 4
 /// keeps several slab tasks in flight for the scaling lane; the peak
 /// tracked residency is stamped next to the timing.
 void run_stream_cases(CaseMap& cases, const Config& cfg) {
-  const AscGrid g = bench::stream_grid(32, 481, /*seed=*/11);
+  const AscGrid g = support::stream_grid(32, 481, /*seed=*/11);
   for (const Lane& ln : lanes()) {
     const std::string name = std::string("stream/synth/c32r481/s32b2") + lane_suffix(ln);
     if (!selected(cfg, name)) continue;
@@ -269,7 +271,7 @@ void run_stream_cases(CaseMap& cases, const Config& cfg) {
     const std::string name = std::string("stream/asc-pgm/c12r800/s6b4") + lane_suffix(ln);
     if (!selected(cfg, name)) continue;
     if (!written) {
-      save_asc_grid(bench::stream_grid(12, 800, /*seed=*/7), asc_path);
+      save_asc_grid(support::stream_grid(12, 800, /*seed=*/7), asc_path);
       written = true;
     }
     stream::StreamOptions opt;
@@ -407,8 +409,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--quick") {
       cfg.reps = 3;
       cfg.warmup = 1;
-    } else if (arg == "--no-pin") {
-      cfg.pin = false;
     } else if (arg == "--diff") {
       const char* a = next();
       const char* b = next();
@@ -419,7 +419,7 @@ int main(int argc, char** argv) {
       return diff(a, b);
     } else {
       std::cerr << "usage: bench_timed [--out FILE] [--reps N] [--warmup N] [--filter SUBSTR] "
-                   "[--quick] [--no-pin] | --diff OLD.json NEW.json\n";
+                   "[--quick] | --diff OLD.json NEW.json\n";
       return 2;
     }
   }
@@ -428,9 +428,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const bool pinned = cfg.pin && thsr::bench::pin_this_thread();
-  std::cout << "bench_timed: " << cfg.reps << " reps, " << cfg.warmup << " warmup, "
-            << (pinned ? "pinned" : "unpinned") << "\n";
+  std::cout << "bench_timed: " << cfg.reps << " reps, " << cfg.warmup << " warmup\n";
 
   thsr::work::reset();  // so the filter hit-rate meta below covers this run only
   CaseMap cases;
@@ -445,7 +443,6 @@ int main(int argc, char** argv) {
   std::map<std::string, std::string> meta;
   meta["git_sha"] = thsr::bench::git_sha();
   meta["host"] = thsr::bench::host_fingerprint();
-  meta["pinned"] = pinned ? "1" : "0";
   meta["reps"] = std::to_string(cfg.reps);
   meta["warmup"] = std::to_string(cfg.warmup);
   meta["timestamp"] = thsr::bench::utc_timestamp();

@@ -15,22 +15,11 @@
 /// determinism contract, tests/test_engine.cpp); only time and allocation
 /// traffic differ.
 
-#include <chrono>
 #include <iostream>
 
 #include "bench_util.hpp"
 #include "core/engine.hpp"
-
-namespace {
-
-struct WallTimer {
-  std::chrono::steady_clock::time_point t0{std::chrono::steady_clock::now()};
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  }
-};
-
-}  // namespace
+#include "support/stopwatch.hpp"
 
 int main() {
   using namespace thsr;
@@ -75,7 +64,7 @@ int main() {
     HsrEngine batch_engine;
     batch_engine.prepare(t);
     const std::vector<HsrOptions> opts(static_cast<std::size_t>(solves), opt);
-    const WallTimer batch_timer;
+    const Stopwatch batch_timer;
     const auto batch = batch_engine.solve_batch(opts);
     const double batch_s = batch_timer.seconds();
 

@@ -5,7 +5,6 @@
 /// persistent treap used inside phase 2. Reports average query time and
 /// visited nodes per query at growing profile size.
 
-#include <chrono>
 #include <random>
 
 #include "acg/hull_tree.hpp"
@@ -13,6 +12,7 @@
 #include "cg/profile_query.hpp"
 #include "envelope/build.hpp"
 #include "parallel/work_depth.hpp"
+#include "support/stopwatch.hpp"
 
 namespace {
 
@@ -75,10 +75,9 @@ int main() {
     const auto run_oracle = [&](const char* name, auto&& fn) {
       work::reset();
       u64 steps = 0, hits = 0;
-      const auto t0 = std::chrono::steady_clock::now();
+      const Stopwatch clock;
       for (const Seg2& q : queries) hits += fn(q, steps);
-      const double el =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      const double el = clock.seconds();
       const Counters c = work::snapshot();
       const u64 total_steps = steps ? steps : c[Op::OracleStep];
       t.row({Table::num(static_cast<long long>(env.size())), name,

@@ -7,8 +7,7 @@
 
 #include "bench_util.hpp"
 #include "separator/depth_order.hpp"
-
-#include <chrono>
+#include "support/stopwatch.hpp"
 
 int main() {
   using namespace thsr;
@@ -21,9 +20,9 @@ int main() {
   std::vector<u32> grids{24, 48, 96, 128};
   if (large()) grids.push_back(176);
   const auto seconds = [](auto&& f) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const Stopwatch clock;
     f();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    return clock.seconds();
   };
   for (const u32 g : grids) {
     const Terrain terr = make(Family::Fbm, g);

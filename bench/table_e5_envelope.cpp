@@ -3,11 +3,10 @@
 /// size stays ~linear in m (the Davenport–Schinzel alpha(m) factor is flat),
 /// serial build scales ~m log m, task-parallel build beats it at scale.
 
-#include <chrono>
-
 #include "bench_util.hpp"
 #include "envelope/build.hpp"
 #include "support/random_segments.hpp"
+#include "support/stopwatch.hpp"
 
 int main() {
   using namespace thsr;
@@ -17,9 +16,9 @@ int main() {
 
   Table t({"source", "m", "env_pieces", "pieces/m", "serial_ms", "parallel_ms", "speedup"});
   const auto time_s = [](auto&& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const Stopwatch clock;
     fn();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    return clock.seconds();
   };
 
   std::vector<std::size_t> sizes{1'000, 4'000, 16'000, 64'000};

@@ -5,12 +5,12 @@
 /// count and skew — the justification for realizing the paper's processor
 /// allocation with dynamic scheduling.
 
-#include <chrono>
 #include <random>
 #include <span>
 
 #include "bench_util.hpp"
 #include "parallel/backend.hpp"
+#include "support/stopwatch.hpp"
 
 namespace {
 
@@ -37,10 +37,6 @@ u64 spin(u32 iters) noexcept {
   return acc;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
 struct AllocReport {
   double wall_s{0};    ///< measured makespan on p workers
   double serial_s{0};  ///< measured serial execution time
@@ -53,17 +49,18 @@ AllocReport run_synthetic_tasks(std::span<const u32> costs, int p, const Schedul
   const i64 n = static_cast<i64>(costs.size());
   auto body = [&](i64 i) { spin(costs[static_cast<std::size_t>(i)]); };
   AllocReport r;
-  auto t0 = std::chrono::steady_clock::now();
-  for (i64 i = 0; i < n; ++i) body(i);
-  r.serial_s = seconds_since(t0);
-
-  t0 = std::chrono::steady_clock::now();
+  {
+    const Stopwatch clock;
+    for (i64 i = 0; i < n; ++i) body(i);
+    r.serial_s = clock.seconds();
+  }
+  const Stopwatch clock;
   if (p > 1) {
     par::detail::pool_parallel_for(n, body, sched.chunk(n, p));
   } else {
     for (i64 i = 0; i < n; ++i) body(i);
   }
-  r.wall_s = seconds_since(t0);
+  r.wall_s = clock.seconds();
   r.ideal_s = r.serial_s / p;
   return r;
 }

@@ -4,12 +4,12 @@
 /// paper's parallel split-at-the-middle-diagonal recursion. Measured: node
 /// visits per query vs log^2 m, and walk vs split work for all-crossings.
 
-#include <chrono>
 #include <random>
 
 #include "acg/all_crossings.hpp"
 #include "bench_util.hpp"
 #include "envelope/build.hpp"
+#include "support/stopwatch.hpp"
 
 int main() {
   using namespace thsr;
@@ -50,11 +50,10 @@ int main() {
         static_cast<double>(tree.nodes_visited()) / static_cast<double>(queries.size());
 
     const auto time_us = [&](auto&& fn) {
-      const auto t0 = std::chrono::steady_clock::now();
+      const Stopwatch clock;
       u64 total = 0;
       for (const Seg2& q : queries) total += fn(q);
-      const double el =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      const double el = clock.seconds();
       return std::pair(el * 1e6 / static_cast<double>(queries.size()),
                        static_cast<double>(total) / static_cast<double>(queries.size()));
     };

@@ -7,7 +7,6 @@
 /// rows rasterize per-slab maps into disjoint column bands (no stitch)
 /// and must reproduce the monolithic image bit-for-bit.
 
-#include <chrono>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -15,6 +14,7 @@
 #include "parallel/backend.hpp"
 #include "raster/raster.hpp"
 #include "shard/sharded_engine.hpp"
+#include "support/stopwatch.hpp"
 
 namespace {
 
@@ -24,9 +24,9 @@ double median3_raster_seconds(const Terrain& t, const VisibilityMap& m,
                               const raster::RasterOptions& opt) {
   std::vector<double> runs;
   for (int i = 0; i < 3; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const Stopwatch clock;
     (void)raster::rasterize(t, m, opt);
-    runs.push_back(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+    runs.push_back(clock.seconds());
   }
   std::sort(runs.begin(), runs.end());
   return runs[1];
@@ -76,11 +76,10 @@ int main() {
         const raster::ImageRaster img = raster::rasterize(terr, solved.map, opt);
         const double sec = median3_raster_seconds(terr, solved.map, opt);
 
-        const auto t0 = std::chrono::steady_clock::now();
+        const Stopwatch clock;
         const raster::ImageRaster banded =
             raster::rasterize_sharded(sharded.plan(), slab_maps, opt);
-        const double shard_sec =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+        const double shard_sec = clock.seconds();
         const bool equal = banded.ids == img.ids && banded.depth == img.depth &&
                            banded.coverage == img.coverage;
 

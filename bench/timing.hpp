@@ -4,8 +4,8 @@
 ///
 /// The work counters gate *what* the library computes; this harness is the
 /// lane that measures *how fast* (bench/README.md, "Timed lane"). Protocol
-/// per case: pin the measuring thread, run `warmup` untimed repetitions,
-/// then `reps` timed ones, and report the median with interquartile range
+/// per case: run `warmup` untimed repetitions, then `reps` timed ones, each
+/// read off one Stopwatch (support/stopwatch.hpp), and report the median with interquartile range
 /// (IQR) and median absolute deviation (MAD) as dispersion — medians and
 /// rank statistics because scheduler noise is one-sided (a run is slowed
 /// by preemption, never sped up), so the median is stable where the mean
@@ -17,7 +17,6 @@
 /// baselines (bench_timed --diff re-reads artifacts this way).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
@@ -27,34 +26,14 @@
 #include <vector>
 
 #ifdef __linux__
-#include <sched.h>
 #include <unistd.h>
 #endif
 
+#include "flat_json.hpp"
 #include "geometry/exactq.hpp"
+#include "support/stopwatch.hpp"
 
 namespace thsr::bench {
-
-/// Pin the calling thread to the first CPU of its current affinity mask so
-/// every timed repetition runs on one core (no migration jitter, stable
-/// cache residency). Returns false when pinning is unsupported or refused;
-/// measurements still run, `meta.pinned` records the outcome.
-inline bool pin_this_thread() {
-#ifdef __linux__
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return false;
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &allowed)) {
-      cpu_set_t one;
-      CPU_ZERO(&one);
-      CPU_SET(cpu, &one);
-      return sched_setaffinity(0, sizeof(one), &one) == 0;
-    }
-  }
-#endif
-  return false;
-}
 
 /// One case's timed repetitions, already run: rank statistics over them.
 struct TimedStats {
@@ -90,18 +69,16 @@ inline TimedStats stats_of(std::vector<u64> ns) {
   return s;
 }
 
-/// Warmup + repeat a thunk, timing each repetition with steady_clock.
+/// Warmup + repeat a thunk, timing each repetition with a Stopwatch.
 template <class F>
 TimedStats measure(F&& body, int warmup, int reps) {
   for (int i = 0; i < warmup; ++i) body();
   std::vector<u64> ns;
   ns.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const Stopwatch clock;
     body();
-    const auto t1 = std::chrono::steady_clock::now();
-    ns.push_back(static_cast<u64>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
+    ns.push_back(clock.nanoseconds());
   }
   return stats_of(std::move(ns));
 }
@@ -163,9 +140,6 @@ inline std::string utc_timestamp() {
   return buf;
 }
 
-using TimedCounterMap = std::map<std::string, u64>;
-using TimedCaseMap = std::map<std::string, TimedCounterMap>;
-
 inline std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -178,7 +152,7 @@ inline std::string json_escape(const std::string& s) {
 
 /// BENCH_TIMED.json: a string-valued "meta" object (run provenance) and the
 /// flat u64 "cases" object the bench_ci-style parser reads back.
-inline void write_timed_json(const TimedCaseMap& cases,
+inline void write_timed_json(const CaseMap& cases,
                              const std::map<std::string, std::string>& meta,
                              const std::string& path) {
   std::ofstream os(path);

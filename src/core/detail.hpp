@@ -2,22 +2,15 @@
 /// \file detail.hpp
 /// Shared implementation context for the HSR algorithms (internal header).
 
-#include <chrono>
 #include <optional>
 
 #include "cg/profile_query.hpp"
 #include "core/hsr.hpp"
 #include "separator/depth_order.hpp"
 #include "separator/separator_tree.hpp"
+#include "support/stopwatch.hpp"
 
 namespace thsr::detail {
-
-struct Timer {
-  std::chrono::steady_clock::time_point t0{std::chrono::steady_clock::now()};
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  }
-};
 
 /// Precomputed per-terrain context shared by all algorithms and cached by
 /// HsrEngine across solves: the image-plane segment table (dummy entries

@@ -3,11 +3,11 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/detail.hpp"
 #include "parallel/backend.hpp"
-#include "support/check.hpp"
 
 namespace thsr {
 
@@ -16,6 +16,10 @@ struct HsrEngine::Impl {
   Counters prepare_work;  ///< ops counted while building ctx
   double order_s{0};
   bool prepared{false};
+
+  void require_prepared(const char* what) const {
+    if (!prepared) throw std::logic_error(std::string("HsrEngine::") + what + " before prepare()");
+  }
 
   // Workspace pool: every solve leases one, so concurrent solves never
   // share scratch, and all are retained so their arenas stay warm. The
@@ -69,7 +73,7 @@ void HsrEngine::prepare(const Terrain& t) {
   Impl& im = *impl_;
   const par::ScopedConfig serial(1, std::nullopt);  // whole preparation inline on this thread
   const Counters before = work::local_snapshot();
-  detail::Timer order_timer;
+  const Stopwatch order_timer;
   im.ctx = detail::make_context(t);
   im.order_s = order_timer.seconds();
   Counters delta = work::local_snapshot();
@@ -82,7 +86,7 @@ void HsrEngine::prepare(const Terrain& t) {
 void HsrEngine::prepare_with_order_of(const Terrain& t, const HsrEngine& base) {
   Impl& im = *impl_;
   const Impl& bi = *base.impl_;
-  THSR_CHECK(bi.prepared);
+  if (!bi.prepared) throw std::logic_error("prepare_with_order_of: base engine is not prepared");
   const Terrain& bt = *bi.ctx.terrain;
   const bool same_shape = t.vertex_count() == bt.vertex_count() &&
                           t.triangle_count() == bt.triangle_count() &&
@@ -106,7 +110,7 @@ void HsrEngine::prepare_with_order_of(const Terrain& t, const HsrEngine& base) {
   // order — functions of ground coordinates only — transfer verbatim, and
   // so does the PCT (a function of the edge count); only the image-plane
   // segment table depends on the new heights.
-  detail::Timer order_timer;
+  const Stopwatch order_timer;
   detail::HsrContext ctx;
   ctx.terrain = &t;
   const auto n = static_cast<u32>(t.edge_count());
@@ -136,7 +140,7 @@ const Terrain* HsrEngine::terrain() const noexcept {
 
 HsrResult HsrEngine::solve(const HsrOptions& opt) {
   Impl& im = *impl_;
-  THSR_CHECK(im.prepared);
+  im.require_prepared("solve");
   const par::ScopedConfig cfg(opt.threads, opt.backend);
   struct Lease {  // exception-safe return to the pool
     Impl& im;
@@ -145,7 +149,7 @@ HsrResult HsrEngine::solve(const HsrOptions& opt) {
   } lease{im};
   detail::Workspace& ws = *lease.ws;
 
-  detail::Timer total;
+  const Stopwatch total;
   HsrStats stats;
   stats.order_s = im.order_s;
   stats.n_edges = im.ctx.terrain->edge_count();
@@ -186,7 +190,7 @@ HsrResult HsrEngine::solve(const HsrOptions& opt) {
 }
 
 std::vector<HsrResult> HsrEngine::solve_batch(std::span<const HsrOptions> opts) {
-  THSR_CHECK(impl_->prepared);
+  impl_->require_prepared("solve_batch");
   std::vector<std::optional<HsrResult>> tmp(opts.size());
   par::fan_items(opts.size(), [&](std::size_t i) {
     HsrOptions item = opts[i];

@@ -74,8 +74,9 @@ class HsrEngine {
   /// counted, because depth ordering reads only ground coordinates
   /// (asserted in tests/test_service.cpp). Runs on the calling thread like
   /// prepare().
-  /// Throws std::invalid_argument when `t` and base's terrain differ in
-  /// topology or ground projection.
+  /// \throws std::invalid_argument when `t` and base's terrain differ in
+  ///         topology or ground projection; std::logic_error when `base`
+  ///         is not prepared.
   void prepare_with_order_of(const Terrain& t, const HsrEngine& base);
 
   bool prepared() const noexcept;
@@ -88,6 +89,8 @@ class HsrEngine {
   /// counters alone, so its work counters stay exact while other threads
   /// solve; any other solve diffs every thread's counters, exact unless
   /// other threads count concurrently.
+  /// \throws std::logic_error before prepare(); std::invalid_argument when
+  ///         `opt.pixel_budget` is malformed (see PixelBudget).
   HsrResult solve(const HsrOptions& opt = {});
 
   /// Solve every option set against the prepared context, fanning the
@@ -95,6 +98,8 @@ class HsrEngine {
   /// solves at threads = 1 on its worker (its own `threads` is ignored).
   /// Results — maps and work counters — are bit-identical to a sequential
   /// loop of solve() calls.
+  /// \throws std::logic_error before prepare(); otherwise what solve()
+  ///         throws (the lowest failing item's exception).
   std::vector<HsrResult> solve_batch(std::span<const HsrOptions> opts);
 
   /// Donate a retired result's piece buffers back to the engine so the

@@ -187,7 +187,7 @@ VisibilityMap run_parallel(const HsrContext& ctx, Workspace& ws, HsrStats& stats
   const SeparatorTree& pct = *ctx.pct;
 
   // ------------------------------------------------------------------ phase 1
-  Timer t1;
+  const Stopwatch t1;
   std::vector<Envelope>& env = ws.env;
   env.assign(pct.size(), Envelope{});
   for (u32 lvl = pct.levels(); lvl-- > 0;) {
@@ -230,7 +230,7 @@ VisibilityMap run_parallel(const HsrContext& ctx, Workspace& ws, HsrStats& stats
   stats.phase1_s = t1.seconds();
 
   // ------------------------------------------------------------------ phase 2
-  Timer t2;
+  const Stopwatch t2;
   PArena& arena = ws.arena;
   const u64 arena_base = arena.node_count();
   std::vector<ptreap::Ref>& inherited = ws.inherited;

@@ -113,7 +113,7 @@ VisibilityMap run_reference(const HsrContext& ctx, Workspace& ws, HsrStats& stat
   VisibilityMap map{t.edge_count(), std::move(ws.map_storage)};
   Envelope profile;  // envelope of all non-sliver edges processed so far
 
-  Timer phase;
+  const Stopwatch phase;
   for (const u32 e : ctx.order.order) {
     if (ctx.is_sliver[e]) {
       map.set_sliver(e, reference_sliver(profile, t.sliver(e), ctx.segs));

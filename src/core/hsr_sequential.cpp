@@ -19,7 +19,7 @@ VisibilityMap run_sequential(const HsrContext& ctx, Workspace& ws, HsrStats& sta
   const u64 arena_base = arena.node_count();
   ptreap::Ref profile = ptreap::make_floor(arena);
 
-  Timer phase;
+  const Stopwatch phase;
   std::vector<TransitionEvent>& events = ws.scratch.events;
   for (const u32 e : ctx.order.order) {
     if (ctx.is_sliver[e]) {

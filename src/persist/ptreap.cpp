@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
 
 #include "parallel/work_depth.hpp"
 
@@ -18,6 +19,8 @@ struct PArena::Block {
 };
 
 struct PArena::ThreadSlot {
+  explicit ThreadSlot(std::thread::id t) : owner(t) {}
+  const std::thread::id owner;      ///< the thread that allocates through it
   u32 base{0};                      ///< current block's id << kLog2BlockNodes
   std::size_t used{kBlockNodes};    ///< force a fresh block on first alloc
   std::atomic<u64> allocated{0};
@@ -36,22 +39,35 @@ PArena::~PArena() {
 }
 
 PArena::ThreadSlot& PArena::local_slot() {
-  // One slot per (thread, arena) pair, looked up through a thread-local map
-  // keyed by the arena's unique generation id — NOT its address, which the
-  // allocator may reuse for a later arena after destruction. Stale entries
-  // for dead arenas are never looked up again (ids are never recycled) and
-  // cost only a map entry each.
-  thread_local std::vector<std::pair<u64, ThreadSlot*>> tl_slots;
-  for (auto& [id, slot] : tl_slots) {
-    if (id == id_) return *slot;
-  }
-  auto* fresh = new ThreadSlot();
+  // One slot per (thread, arena) pair, owned by the arena alone. A
+  // one-entry thread-local memo remembers the last arena this thread
+  // allocated in, keyed by the arena's generation id — NOT its address,
+  // which a later arena may reuse — so a dead arena's memo never matches
+  // (ids are never recycled) and the thread keeps nothing per dead arena.
+  // On a miss the arena's own slots are searched by owner. A recycled
+  // thread id can only find an exited thread's slot, which no live thread
+  // uses.
+  struct Memo {
+    u64 arena_id{0};
+    ThreadSlot* slot{nullptr};
+  };
+  thread_local Memo memo;
+  if (memo.arena_id == id_) return *memo.slot;
+  const std::thread::id self = std::this_thread::get_id();
+  ThreadSlot* slot = nullptr;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    slots_.push_back(fresh);
+    const auto it = std::find_if(slots_.begin(), slots_.end(),
+                                 [&](const ThreadSlot* s) { return s->owner == self; });
+    if (it != slots_.end()) {
+      slot = *it;
+    } else {
+      slot = new ThreadSlot(self);
+      slots_.push_back(slot);
+    }
   }
-  tl_slots.emplace_back(id_, fresh);
-  return *fresh;
+  memo = Memo{id_, slot};
+  return *slot;
 }
 
 u32 PArena::alloc() {

@@ -158,7 +158,7 @@ class PArena {
   mutable std::mutex mu_;
   std::vector<Block*> blocks_;  ///< every block ever allocated (owned)
   std::vector<Block*> free_;    ///< retained blocks awaiting reuse
-  std::vector<ThreadSlot*> slots_;
+  std::vector<ThreadSlot*> slots_;   ///< one per allocating thread (owned)
   std::unique_ptr<PNode*[]> table_;  ///< block id -> node storage (write-once slots)
   const u64 id_{next_id()};          ///< unique per arena, never recycled
 

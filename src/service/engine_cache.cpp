@@ -124,7 +124,7 @@ EngineCache::EngineCache(const Options& opt) : impl_(std::make_unique<Impl>()) {
 EngineCache::~EngineCache() = default;
 
 void EngineCache::add_terrain(u64 id, std::shared_ptr<const Terrain> t) {
-  THSR_CHECK(t != nullptr);
+  if (t == nullptr) throw std::invalid_argument("EngineCache::add_terrain: null terrain");
   const std::lock_guard<std::mutex> lk(impl_->mu);
   impl_->terrains[id] = std::move(t);
 }

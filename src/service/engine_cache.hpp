@@ -103,6 +103,7 @@ class EngineCache {
 
   /// Register `t` under `id` (replacing any previous registration). The
   /// shared_ptr keeps the terrain alive for every entry derived from it.
+  /// \throws std::invalid_argument when `t` is null.
   void add_terrain(u64 id, std::shared_ptr<const Terrain> t);
   bool has_terrain(u64 id) const;
 

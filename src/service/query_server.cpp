@@ -1,6 +1,5 @@
 #include "service/query_server.hpp"
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -9,16 +8,20 @@
 #include <utility>
 #include <vector>
 
-#include "support/check.hpp"
+#include "support/stopwatch.hpp"
 
 namespace thsr::service {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-u64 ns_between(Clock::time_point a, Clock::time_point b) {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+/// The options, once checked: a server without a worker or a queue slot
+/// could never answer, so it is refused before any thread starts.
+const ServerOptions& validated(const ServerOptions& opt) {
+  if (opt.workers < 1) throw std::invalid_argument("QueryServer: workers must be >= 1");
+  if (opt.queue_capacity < 1) {
+    throw std::invalid_argument("QueryServer: queue_capacity must be >= 1");
+  }
+  return opt;
 }
 
 }  // namespace
@@ -27,7 +30,7 @@ struct QueryServer::Impl {
   struct Item {
     Query query;
     ReplyFn on_reply;
-    Clock::time_point submitted_at;
+    Stopwatch since_submit;
   };
 
   ServerOptions opt;
@@ -61,14 +64,14 @@ struct QueryServer::Impl {
           cache.acquire(item.query.terrain_id, item.query.viewpoint, &reply.cache_hit);
       HsrOptions opt = item.query.solve;
       opt.threads = 1;  // the solve stays on this worker
-      const Clock::time_point solve_start = Clock::now();
+      const Stopwatch solve_clock;
       reply.result = view->engine().solve(opt);
-      reply.solve_ns = ns_between(solve_start, Clock::now());
+      reply.solve_ns = solve_clock.nanoseconds();
     } catch (const std::exception& e) {
       reply.status = QueryStatus::Error;
       reply.error = e.what();
     }
-    reply.latency_ns = ns_between(item.submitted_at, Clock::now());
+    reply.latency_ns = item.since_submit.nanoseconds();
     const bool errored = reply.status == QueryStatus::Error;
     if (item.on_reply) item.on_reply(std::move(reply));
     {
@@ -97,9 +100,8 @@ struct QueryServer::Impl {
   }
 };
 
-QueryServer::QueryServer(const ServerOptions& opt) : impl_(std::make_unique<Impl>(opt)) {
-  THSR_CHECK(opt.workers >= 1);
-  THSR_CHECK(opt.queue_capacity >= 1);
+QueryServer::QueryServer(const ServerOptions& opt)
+    : impl_(std::make_unique<Impl>(validated(opt))) {
   impl_->workers.reserve(static_cast<std::size_t>(opt.workers));
   for (int i = 0; i < opt.workers; ++i) {
     impl_->workers.emplace_back([im = impl_.get()] { im->worker_loop(); });
@@ -114,7 +116,7 @@ void QueryServer::add_terrain(u64 id, std::shared_ptr<const Terrain> t) {
 
 bool QueryServer::submit(Query q, ReplyFn on_reply) {
   Impl& im = *impl_;
-  const Clock::time_point now = Clock::now();
+  const Stopwatch since_submit;
   {
     std::unique_lock<std::mutex> lk(im.mu);
     if (im.opt.block_when_full) {
@@ -124,7 +126,7 @@ bool QueryServer::submit(Query q, ReplyFn on_reply) {
       ++im.stats.dropped;
       return false;
     }
-    im.queue.push_back(Impl::Item{std::move(q), std::move(on_reply), now});
+    im.queue.push_back(Impl::Item{std::move(q), std::move(on_reply), since_submit});
     ++im.stats.submitted;
   }
   im.not_empty.notify_one();

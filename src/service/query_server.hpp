@@ -23,8 +23,9 @@
 /// solve's already-subsecond critical path.
 ///
 /// Every reply carries the submit-to-completion latency in integer
-/// nanoseconds; bench_service turns sustained open-loop streams of these
-/// into the p50/p99/queries-per-second artifact (BENCH_SERVICE.json).
+/// nanoseconds; perfbench's `serve` workload turns sustained streams of
+/// these into its latency and queries-per-second metrics, and
+/// tests/test_service.cpp soaks the blocking queue under churn.
 
 #include <functional>
 #include <memory>
@@ -77,7 +78,7 @@ struct ServerOptions {
   /// When the queue is full: true = submit() blocks until space (the
   /// closed-loop default guaranteeing zero drops), false = submit()
   /// returns false and the query counts as dropped (open-loop overload
-  /// behavior; bench_service exercises both).
+  /// behavior; tests/test_service.cpp exercises both).
   bool block_when_full{true};
   EngineCache::Options cache{};    ///< budget for the shared engine cache
 };
@@ -92,12 +93,15 @@ class QueryServer {
   };
 
   /// Start `opt.workers` solver threads immediately.
+  /// \throws std::invalid_argument when `opt.workers` < 1 or
+  ///         `opt.queue_capacity` < 1 (before any thread starts).
   explicit QueryServer(const ServerOptions& opt = {});
   ~QueryServer();  ///< stop()s if still running
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
   /// Register a terrain with the underlying cache (may be called any time).
+  /// \throws std::invalid_argument when `t` is null.
   void add_terrain(u64 id, std::shared_ptr<const Terrain> t);
 
   /// Enqueue a query. True = accepted (the callback will run exactly

@@ -1,13 +1,14 @@
 #include "shard/sharded_engine.hpp"
 
-#include <chrono>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "parallel/backend.hpp"
-#include "support/check.hpp"
+#include "support/stopwatch.hpp"
 
 namespace thsr::shard {
 
@@ -17,6 +18,12 @@ struct ShardedEngine::Impl {
   u64 n_slivers{0};
   double prepare_s{0};
   bool prepared{false};
+
+  void require_prepared(const char* what) const {
+    if (!prepared) {
+      throw std::logic_error(std::string("ShardedEngine::") + what + " before prepare()");
+    }
+  }
 };
 
 ShardedEngine::ShardedEngine() : impl_(std::make_unique<Impl>()) {}
@@ -31,7 +38,7 @@ void ShardedEngine::prepare(const Terrain& t, u32 slabs) {
   // stale prepared flag — null engines would read as legitimately empty
   // slabs and solve() would return a silently truncated map.
   im.prepared = false;
-  const auto t0 = std::chrono::steady_clock::now();
+  const Stopwatch clock;
   im.plan = decompose(t, slabs);
   im.engines.clear();
   im.engines.resize(slabs);
@@ -43,7 +50,7 @@ void ShardedEngine::prepare(const Terrain& t, u32 slabs) {
   });
   im.n_slivers = 0;
   for (u32 e = 0; e < t.edge_count(); ++e) im.n_slivers += t.is_sliver(e);
-  im.prepare_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  im.prepare_s = clock.seconds();
   im.prepared = true;
 }
 
@@ -54,13 +61,13 @@ u32 ShardedEngine::slab_count() const noexcept {
 }
 
 const ShardPlan& ShardedEngine::plan() const {
-  THSR_CHECK(impl_->prepared);
+  impl_->require_prepared("plan");
   return impl_->plan;
 }
 
 std::vector<std::optional<HsrResult>> ShardedEngine::solve_slabs(const HsrOptions& opt) {
   Impl& im = *impl_;
-  THSR_CHECK(im.prepared);
+  im.require_prepared("solve_slabs");
   const par::ScopedConfig cfg(opt.threads, opt.backend);
   HsrOptions slab_opt = opt;
   slab_opt.threads = 1;  // each slab solves on its worker
@@ -75,9 +82,9 @@ std::vector<std::optional<HsrResult>> ShardedEngine::solve_slabs(const HsrOption
 
 HsrResult ShardedEngine::solve(const HsrOptions& opt) {
   Impl& im = *impl_;
-  THSR_CHECK(im.prepared);
+  im.require_prepared("solve");
 
-  const auto t0 = std::chrono::steady_clock::now();
+  const Stopwatch clock;
   std::vector<std::optional<HsrResult>> per = solve_slabs(opt);
   const std::size_t S = per.size();
 
@@ -102,8 +109,7 @@ HsrResult ShardedEngine::solve(const HsrOptions& opt) {
   st.n_slivers = im.n_slivers;
   st.k_pieces = out.map.k_pieces();
   st.k_crossings = out.map.k_crossings();
-  st.total_s = st.order_s +
-               std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  st.total_s = st.order_s + clock.seconds();
   return out;
 }
 

@@ -54,7 +54,8 @@ class ShardedEngine {
   u32 slab_count() const noexcept;
 
   /// The decomposition (cut ordinates, per-slab sub-terrains, duplication
-  /// accounting). Requires prepare().
+  /// accounting).
+  /// \throws std::logic_error before prepare().
   const ShardPlan& plan() const;
 
   /// Solve every slab with `opt` — fanned over the fork-join backend, one
@@ -63,6 +64,7 @@ class ShardedEngine {
   /// configure the fan-out exactly as they would a monolithic solve;
   /// `opt.collect_layer_stats` is accepted but the stitched result keeps
   /// `layers` empty (see file comment).
+  /// \throws std::logic_error before prepare().
   HsrResult solve(const HsrOptions& opt = {});
 
   /// Solve every slab with `opt` (the same fan-out as solve()) and return
@@ -72,6 +74,7 @@ class ShardedEngine {
   /// slab. This is the raster path's entry point: per-slab maps rasterize
   /// independently into disjoint image-column bands, so no stitch is ever
   /// materialized (raster/raster.hpp, rasterize_sharded).
+  /// \throws std::logic_error before prepare().
   std::vector<std::optional<HsrResult>> solve_slabs(const HsrOptions& opt = {});
 
   /// Wall-clock seconds the last prepare() took: decomposition plus every

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "support/check.hpp"
-
 namespace thsr::stream {
 namespace {
 
@@ -14,12 +12,17 @@ constexpr u32 kNoVert = 0xffffffffu;
 
 [[noreturn]] void fail(const std::string& msg) { throw std::runtime_error("dem_lattice: " + msg); }
 
+/// Caller-input checks: arguments no grid could produce.
+void require(bool ok, const char* msg) {
+  if (!ok) throw std::invalid_argument(std::string("dem_lattice: ") + msg);
+}
+
 }  // namespace
 
 i64 lattice_ystep(u32 cols) { return kLatticeSpacing * (i64{cols} + 2); }
 
 u32 max_window_rows(u32 cols) {
-  THSR_CHECK(cols >= 2);
+  require(cols >= 2, "a lattice needs >= 2 columns");
   const i64 x_extent = kLatticeSpacing * (i64{cols} - 1);
   if (x_extent > kMaxCoord) return 0;  // too wide for the lattice at any row count
   // Largest rows with ystep*(rows-1) + x_extent <= kMaxCoord.
@@ -38,7 +41,7 @@ i64 quantize_height(double v, const LatticeOptions& opt) {
 
 u64 window_triangles(u32 cols, u32 rows, std::span<const double> values,
                      std::optional<double> nodata) {
-  THSR_CHECK(values.size() >= std::size_t{rows} * cols);
+  require(values.size() >= std::size_t{rows} * cols, "values hold fewer than rows x cols samples");
   if (rows < 2) return 0;
   if (!nodata) return u64{2} * (cols - 1) * (rows - 1);
   const auto data = [&](std::size_t i) { return values[i] != *nodata; };
@@ -54,9 +57,10 @@ u64 window_triangles(u32 cols, u32 rows, std::span<const double> values,
 
 SlabBuild build_rows(u32 cols, u32 row_lo, u32 row_hi, std::span<const double> values,
                      std::optional<double> nodata, u64 tri_base, const LatticeOptions& opt) {
-  THSR_CHECK(cols >= 2 && row_lo < row_hi);
+  require(cols >= 2, "a lattice needs >= 2 columns");
+  require(row_lo < row_hi, "empty row range");
   const u32 rows = row_hi - row_lo;
-  THSR_CHECK(values.size() >= std::size_t{rows} * cols);
+  require(values.size() >= std::size_t{rows} * cols, "values hold fewer than rows x cols samples");
   if (kLatticeSpacing * (i64{cols} - 1) > kMaxCoord) {
     fail("grid of " + std::to_string(cols) + " columns exceeds the lattice x budget");
   }
@@ -138,7 +142,8 @@ Terrain terrain_from_rows(u32 cols, u32 rows, std::span<const double> values,
 }
 
 raster::ImageWindow stream_window(u32 cols, u32 rows, i64 z_lo, i64 z_hi) {
-  THSR_CHECK(cols >= 2 && rows >= 2 && z_lo <= z_hi);
+  require(cols >= 2 && rows >= 2, "a window needs >= 2 columns and >= 2 rows");
+  require(z_lo <= z_hi, "z_lo > z_hi");
   raster::ImageWindow w;
   w.y_lo = 0;
   w.y_hi = lattice_ystep(cols) * (i64{rows} - 1) + kLatticeSpacing * (i64{cols} - 1);

@@ -65,6 +65,7 @@ i64 lattice_ystep(u32 cols);
 /// coordinates leave the exact-arithmetic budget (|y| <= kMaxCoord).
 /// Streaming callers derive their default slab_rows from this; anything
 /// larger is rejected with std::runtime_error at build time.
+/// \throws std::invalid_argument when cols < 2.
 u32 max_window_rows(u32 cols);
 
 /// Height quantization for the streaming path: fixed offset and scale
@@ -93,15 +94,19 @@ struct SlabBuild {
 /// Triangles `build_rows` creates from a `rows`-row window (row-major
 /// `values`): two per cell whose four corners hold data. Lets the stream
 /// fix every window's `tri_base` in slab order before any window is built.
+/// \throws std::invalid_argument when `values` holds fewer than rows x cols
+///         samples.
 u64 window_triangles(u32 cols, u32 rows, std::span<const double> values,
                      std::optional<double> nodata);
 
 /// Build grid rows [row_lo, row_hi) (row-major `values`, (row_hi-row_lo)
 /// * cols samples) on the streaming lattice with row_base = row_lo.
 /// `tri_base` is the global id of the window's first triangle — the total
-/// triangle count of all cell rows above row_lo. Throws std::runtime_error
-/// when the window exceeds max_window_rows(cols), a height leaves the
-/// coordinate range, or the id space overflows u32.
+/// triangle count of all cell rows above row_lo.
+/// \throws std::invalid_argument when cols < 2, row_lo >= row_hi, or
+///         `values` is short; std::runtime_error when the window exceeds
+///         max_window_rows(cols), a height leaves the coordinate range, or
+///         the id space overflows u32.
 SlabBuild build_rows(u32 cols, u32 row_lo, u32 row_hi, std::span<const double> values,
                      std::optional<double> nodata, u64 tri_base, const LatticeOptions& opt = {});
 
@@ -118,6 +123,7 @@ Terrain terrain_from_rows(u32 cols, u32 rows, std::span<const double> values,
 /// exactly like raster::default_window so no sample ordinate is an
 /// integer. Streamed and reference rasterizations must both receive this
 /// window explicitly (the reference's default_window would differ).
+/// \throws std::invalid_argument when cols < 2, rows < 2 or z_lo > z_hi.
 raster::ImageWindow stream_window(u32 cols, u32 rows, i64 z_lo, i64 z_hi);
 
 }  // namespace thsr::stream

@@ -20,8 +20,9 @@
 /// — and every byte the pipeline holds (row buffers, slab terrains, engine
 /// arenas, maps, band buffers) is charged to a meter whose peak is
 /// reported and, when `resident_bytes_budget` is set, *enforced*:
-/// exceeding it throws, so a bench run completing at all is the
-/// resident-bytes gate (bench/bench_stream.cpp).
+/// exceeding it throws, so a run completing at all is the resident-bytes
+/// gate (`Stream.ResidencyDoesNotGrowWithRowCount` in tests/test_stream.cpp
+/// streams a 3,489-row file under it).
 ///
 /// **Raster precision.** The stream only ever emits a raster, so each slab
 /// solves with a PixelBudget (core/bounded.hpp): the image's own sample

@@ -1,6 +1,8 @@
 #pragma once
-/// Platform-deterministic synthetic DEM grids for the streaming lane
-/// (bench_ci stream/* cases, bench_stream, bench_timed).
+/// \file stream_grids.hpp
+/// Platform-deterministic synthetic DEM grids for the streaming path:
+/// bench_ci's stream/* cases, bench_timed's stream cases, and the
+/// residency test in tests/test_stream.cpp draw the same grids from here.
 ///
 /// Heights are built from triangle waves and splitmix64 integer-hash noise
 /// only — plain IEEE add/mul/divide, no libm transcendentals — so the
@@ -9,7 +11,7 @@
 
 #include "terrain/asc_io.hpp"
 
-namespace thsr::bench {
+namespace thsr::support {
 
 inline u64 splitmix64(u64 x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -52,4 +54,4 @@ inline AscGrid stream_grid(u32 cols, u32 rows, u64 seed) {
   return g;
 }
 
-}  // namespace thsr::bench
+}  // namespace thsr::support

@@ -159,7 +159,14 @@ TEST(Engine, SolveRequiresPrepare) {
   HsrEngine engine;
   EXPECT_FALSE(engine.prepared());
   EXPECT_EQ(engine.terrain(), nullptr);
-  EXPECT_DEATH((void)engine.solve(), "prepared");
+  EXPECT_THROW((void)engine.solve(), std::logic_error);
+  const std::vector<HsrOptions> opts(2);
+  EXPECT_THROW((void)engine.solve_batch(opts), std::logic_error);
+  // An unprepared base has no order to transfer.
+  const Terrain t = make(Family::Fbm, 6);
+  HsrEngine other;
+  EXPECT_THROW(other.prepare_with_order_of(t, engine), std::logic_error);
+  EXPECT_FALSE(other.prepared());
 }
 
 // Four threads share one freshly prepared engine — no warm-up solve, no

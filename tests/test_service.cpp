@@ -6,10 +6,12 @@
 /// byte budget, and hit-path identity (including under concurrent acquires:
 /// the tsan preset runs this file); the depth-order transfer; and the query
 /// server's submit/drain/error/drop behavior, with exact reply counters
-/// while other threads prepare engines.
+/// while other threads prepare engines and with zero drops while blocked
+/// producers churn a one-byte cache.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <stdexcept>
@@ -326,6 +328,7 @@ TEST(EngineCacheTest, CacheHitSolveIsBitIdenticalToColdSolve) {
 TEST(EngineCacheTest, RejectsUnknownIdsAndInadmissibleViewpoints) {
   const auto t = make_shared_terrain(Family::Fbm, 8);
   EngineCache cache;
+  EXPECT_THROW(cache.add_terrain(1, nullptr), std::invalid_argument);
   EXPECT_FALSE(cache.has_terrain(1));
   EXPECT_THROW((void)cache.acquire(1, Viewpoint{}), std::invalid_argument);
   cache.add_terrain(1, t);
@@ -614,6 +617,75 @@ TEST(QueryServerTest, NonBlockingSubmitDropsWhenFull) {
   EXPECT_EQ(s.dropped, u64{1});
   EXPECT_EQ(s.completed, u64{2});
   EXPECT_EQ(completed.load(), 1);
+}
+
+TEST(QueryServerTest, RejectsBadOptionsAndNullTerrains) {
+  EXPECT_THROW(QueryServer(ServerOptions{.workers = 0}), std::invalid_argument);
+  EXPECT_THROW(QueryServer(ServerOptions{.queue_capacity = 0}), std::invalid_argument);
+  QueryServer server({.workers = 1});
+  EXPECT_THROW(server.add_terrain(1, nullptr), std::invalid_argument);
+  EXPECT_FALSE(server.cache().has_terrain(1));
+}
+
+// Back-pressure under churn: three producers submit a fresh viewpoint per
+// query into a two-slot queue that blocks when full, so producers really
+// wait on the workers, and a one-byte cache budget makes every miss evict
+// an entry another worker may still be solving on. Nothing may be dropped
+// or fail, and every reply must equal the direct solve of the transformed
+// terrain.
+TEST(QueryServerTest, BlockingQueueSoaksChurnWithoutDrops) {
+  const auto t = make_shared_terrain(Family::Fbm, 12);
+  constexpr std::size_t kProducers = 3, kPerProducer = 40, kQueries = kProducers * kPerProducer;
+  // Query k gets azimuth k mod 4 from a set with |dir_x| + |dir_y| <= 3 and
+  // slope 1/den, den walking [2, den_max], where den_max is the largest
+  // denominator the width budget admits: (den + 3) * M <= kMaxCoord
+  // (DESIGN.md section 1.10). Consecutive k give distinct cache keys.
+  const i64 den_max = std::max<i64>(kMaxCoord / std::max<i64>(t->max_abs_coord(), 1) - 3, 2);
+  const auto fresh_viewpoint = [den_max](std::size_t k) {
+    static constexpr std::pair<i64, i64> kAzimuths[] = {{1, 0}, {0, 1}, {2, -1}, {1, 1}};
+    const auto& [dx, dy] = kAzimuths[k % 4];
+    const i64 den = 2 + static_cast<i64>(k / 4) % std::max<i64>(den_max - 1, 1);
+    return Viewpoint{.dir_x = dx, .dir_y = dy, .elev_num = 1, .elev_den = den};
+  };
+
+  std::vector<std::optional<QueryReply>> replies(kQueries);
+  std::mutex mu;
+  QueryServer server({.workers = 2,
+                      .queue_capacity = 2,
+                      .block_when_full = true,
+                      .cache = {.byte_budget = 1}});
+  server.add_terrain(1, t);
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::size_t q = 0; q < kPerProducer; ++q) {
+        const std::size_t k = p + kProducers * q;
+        (void)server.submit(Query{.terrain_id = 1, .viewpoint = fresh_viewpoint(k), .tag = k},
+                            [&replies, &mu](QueryReply&& r) {
+                              const std::lock_guard<std::mutex> lk(mu);
+                              replies[r.tag] = std::move(r);
+                            });
+      }
+    });
+  }
+  for (std::thread& th : producers) th.join();
+  server.drain();
+
+  const QueryServer::Stats s = server.stats();
+  EXPECT_EQ(s.dropped, u64{0});
+  EXPECT_EQ(s.errors, u64{0});
+  EXPECT_EQ(s.submitted, kQueries);
+  EXPECT_EQ(s.completed, kQueries);
+  EXPECT_GT(server.cache_stats().evictions, u64{0});
+  for (std::size_t k = 0; k < kQueries; ++k) {
+    ASSERT_TRUE(replies[k].has_value()) << "query " << k << " never completed";
+    ASSERT_EQ(replies[k]->status, QueryStatus::Ok) << replies[k]->error;
+    // Serial like the server's own solves (maps and counters do not depend
+    // on the thread count), which keeps the sanitizer runs short.
+    const Terrain direct_terrain = service::transform_terrain(*t, fresh_viewpoint(k));
+    expect_identical(*replies[k]->result, hidden_surface_removal(direct_terrain, {.threads = 1}),
+                     "query " + std::to_string(k));
+  }
 }
 
 TEST(QueryServerTest, StopIsIdempotentAndRefusesNewWork) {

@@ -286,7 +286,9 @@ TEST(Shard, ZeroSlabsRejected) {
 TEST(Shard, SolveRequiresPrepare) {
   shard::ShardedEngine engine;
   EXPECT_FALSE(engine.prepared());
-  EXPECT_DEATH((void)engine.solve(), "prepared");
+  EXPECT_THROW((void)engine.solve(), std::logic_error);
+  EXPECT_THROW((void)engine.solve_slabs(), std::logic_error);
+  EXPECT_THROW((void)engine.plan(), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------

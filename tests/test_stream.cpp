@@ -4,13 +4,16 @@
 /// seeds, terrain families, slab budgets, resident budgets, supersample
 /// factors, and backends — and the emitted bands must tile the image with
 /// no gap or overlap. Counters (solve work, crossings, hit samples) must
-/// not depend on the resident budget or backend at all.
+/// not depend on the resident budget or backend at all, and the metered
+/// peak of a file-backed stream must not grow with the grid's row count.
 
 #include <gtest/gtest.h>
+#include <unistd.h>  // getpid: temp file names private to this process
 
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -22,6 +25,7 @@
 #include "stream/dem_lattice.hpp"
 #include "stream/sinks.hpp"
 #include "stream/stream.hpp"
+#include "support/stream_grids.hpp"
 #include "terrain/asc_io.hpp"
 #include "test_util.hpp"
 
@@ -271,6 +275,23 @@ TEST(Stream, SlabWindowOverCoordinateBudgetThrows) {
   EXPECT_THROW((void)stream::stream_solve(src, opt, sink), std::runtime_error);
 }
 
+TEST(Stream, LatticeEntryPointsRejectBadArguments) {
+  const std::vector<double> v(12, 1.0);  // 3 rows x 4 columns
+  EXPECT_THROW((void)stream::max_window_rows(1), std::invalid_argument);
+  EXPECT_THROW((void)stream::window_triangles(4, 4, v, std::nullopt), std::invalid_argument);
+  EXPECT_THROW((void)stream::build_rows(1, 0, 3, v, std::nullopt, 0), std::invalid_argument);
+  EXPECT_THROW((void)stream::build_rows(4, 2, 2, v, std::nullopt, 0), std::invalid_argument);
+  EXPECT_THROW((void)stream::build_rows(4, 0, 4, v, std::nullopt, 0), std::invalid_argument);
+  EXPECT_THROW((void)stream::stream_window(1, 3, 0, 1), std::invalid_argument);
+  EXPECT_THROW((void)stream::stream_window(4, 1, 0, 1), std::invalid_argument);
+  EXPECT_THROW((void)stream::stream_window(4, 3, 2, 1), std::invalid_argument);
+  // The nearest valid calls are accepted.
+  EXPECT_GT(stream::max_window_rows(2), 0u);
+  EXPECT_EQ(stream::window_triangles(4, 3, v, std::nullopt), 12u);
+  EXPECT_FALSE(stream::build_rows(4, 0, 3, v, std::nullopt, 0).empty());
+  EXPECT_NO_THROW((void)stream::stream_window(4, 3, 1, 1));
+}
+
 TEST(Stream, NodataOnlyGridStreamsToBackground) {
   AscGrid g = test::make_asc_grid(8, 7, test::GridFamily::Flat, 1);
   for (double& v : g.values) v = *g.nodata;
@@ -320,6 +341,45 @@ TEST(Stream, HundredTimesResidentCapacityStreamsAndMatches) {
   EXPECT_LE(st.peak_resident_bytes, opt.resident_bytes_budget);
   expect_bands_tile(sink.bands(), W);
   expect_images_identical(sink.image(), reference_image(g, st.window, W, H, 1));
+}
+
+TEST(Stream, ResidencyDoesNotGrowWithRowCount) {
+  // One 32-column synthetic DEM at 481 rows (15 slab windows) and at 3,489
+  // rows (109 windows, ~100x one window), streamed from .asc files under an
+  // enforced budget of 8 MiB per resident slab. Both runs must complete —
+  // the meter throws past its budget — and the tall run must not peak above
+  // the short one: what stays resident is bounded by the slab budget, never
+  // by the grid.
+  constexpr u64 kBytesPerResidentSlab = u64{8} << 20;
+  std::vector<std::string> paths;
+  for (const u32 rows : {481u, 3489u}) {
+    paths.push_back(::testing::TempDir() + "/thsr_stream_r" + std::to_string(rows) + "_" +
+                    std::to_string(::getpid()) + ".asc");
+    save_asc_grid(support::stream_grid(32, rows, /*seed=*/11), paths.back());
+  }
+  for (const u32 B : {1u, 2u, 4u}) {
+    stream::StreamOptions opt;
+    opt.slab_rows = 32;
+    opt.resident_slabs = B;
+    opt.resident_bytes_budget = B * kBytesPerResidentSlab;
+    opt.width = 160;
+    opt.height = 120;
+    opt.supersample = 2;
+    opt.solve.algorithm = Algorithm::Parallel;
+    opt.solve.threads = 2;
+    u64 peak[2] = {0, 0};
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      stream::AscFileRowSource src(paths[i]);
+      stream::NullBandSink sink;
+      try {
+        peak[i] = stream::stream_solve(src, opt, sink).peak_resident_bytes;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << paths[i] << " at B = " << B << ": " << e.what();
+      }
+    }
+    EXPECT_LE(peak[1], peak[0]) << "B = " << B << ": the peak grew with the row count";
+  }
+  for (const std::string& p : paths) std::remove(p.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 /// Persistent treap tests: randomized op sequences against a flat model,
 /// with *all* historical versions re-verified after every update (the
-/// persistence contract), plus shape determinism and structural invariants.
+/// persistence contract), plus shape determinism and structural invariants,
+/// and an arena's per-thread bookkeeping dying with the arena.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,21 @@
 
 #include "persist/ptreap.hpp"
 #include "test_util.hpp"
+
+// The live-heap probe needs glibc's mallinfo2 (2.33+) and the system
+// allocator, which the sanitizers replace.
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+#include <malloc.h>
+#define THSR_LIVE_HEAP_PROBE 1
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#undef THSR_LIVE_HEAP_PROBE
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#undef THSR_LIVE_HEAP_PROBE
+#endif
+#endif
 
 namespace thsr {
 namespace {
@@ -228,6 +244,28 @@ TEST(PTreap, NodeCountGrowsLogarithmicallyPerSplice) {
   // ~O(log n) path copies per splice; generous ceiling to avoid flakiness.
   EXPECT_LT(per_splice, 80.0);
   EXPECT_EQ(ptreap::count(t), 256u * 2 + 1);  // alternating piece/floor + tail
+}
+
+// A thread that allocates in many short-lived arenas (every engine a
+// process creates owns some) must not keep anything per dead arena: its
+// live heap after 4,096 arenas equals its live heap before them.
+TEST(PArena, DeadArenasLeaveNoPerThreadState) {
+#ifndef THSR_LIVE_HEAP_PROBE
+  GTEST_SKIP() << "needs glibc mallinfo2 and the system allocator";
+#else
+  const auto churn = [](int arenas) {
+    for (int i = 0; i < arenas; ++i) {
+      PArena a;
+      (void)a.alloc();
+    }
+  };
+  churn(1);  // first-touch thread-local state (work counters, the slot memo)
+  const std::size_t before = mallinfo2().uordblks;
+  churn(4096);
+  const std::size_t after = mallinfo2().uordblks;
+  EXPECT_LE(after, before) << "4,096 dead arenas left " << after - before
+                           << " live heap bytes on this thread";
+#endif
 }
 
 }  // namespace
