@@ -142,18 +142,27 @@ void run_case(CaseMap& cases, const std::string& name, Family fam, u32 grid,
 /// unlike the work counters — depend on how allocations land on threads.
 void run_engine_cases(CaseMap& cases) {
   const Terrain terr = bench::make(Family::Fbm, 48);
-  HsrEngine eng;
-  eng.prepare(terr);
-  const HsrOptions opt{.algorithm = Algorithm::Parallel, .threads = 1};
-  (void)eng.solve(opt);  // cold solve sizes the arena
-  const u64 blocks_cold = eng.arena_blocks();
-  const HsrResult warm = eng.solve(opt);
-  const std::string name = "engine/fbm/g48/warm";
-  cases[name] = to_counter_map(warm.stats.work);
-  cases[name]["k_pieces"] = warm.stats.k_pieces;
-  cases[name]["treap_nodes"] = warm.stats.treap_nodes;
-  cases[name]["phase1_pieces"] = warm.stats.phase1_pieces;
-  cases[name]["arena_new_blocks"] = eng.arena_blocks() - blocks_cold;
+  // Records one warm solve; returns the engine's arena blocks.
+  const auto warm_case = [&](const std::string& name, Algorithm algorithm) {
+    HsrEngine eng;
+    eng.prepare(terr);
+    const HsrOptions opt{.algorithm = algorithm, .threads = 1};
+    (void)eng.solve(opt);  // cold solve sizes the arena
+    const u64 blocks_cold = eng.arena_blocks();
+    const HsrResult warm = eng.solve(opt);
+    cases[name] = to_counter_map(warm.stats.work);
+    cases[name]["k_pieces"] = warm.stats.k_pieces;
+    cases[name]["treap_nodes"] = warm.stats.treap_nodes;
+    cases[name]["phase1_pieces"] = warm.stats.phase1_pieces;
+    cases[name]["arena_new_blocks"] = eng.arena_blocks() - blocks_cold;
+    return eng.arena_blocks();
+  };
+  (void)warm_case("engine/fbm/g48/warm", Algorithm::Parallel);
+  // Sequential's single-version splices recycle every node they supersede,
+  // so the whole solve lives in one arena block: a free list that stops
+  // recycling grows arena_blocks past the +5% gate.
+  const u64 seq_blocks = warm_case("engine/fbm/g48/warm-seq", Algorithm::Sequential);
+  cases["engine/fbm/g48/warm-seq"]["arena_blocks"] = seq_blocks;
 
   // Batch fan-out: one case summing the per-item counters (deterministic).
   HsrEngine batch_eng;
@@ -252,10 +261,10 @@ int run_raster_cases(CaseMap& cases) {
 /// post-transform solve work against the baseline; a built-in hard gate
 /// asserts the cache path — cold miss, warm hit, and the order-transfer
 /// rung — is bitwise identical (visibility map AND work counters) to a
-/// direct solve of the pre-transformed terrain. The direct solve runs at
-/// threads=2 while the cache path runs scoped-serial, so the gate also
-/// re-enforces identity across thread counts on every CI run. Returns the
-/// number of gate failures.
+/// direct solve of the pre-transformed terrain. Both sides solve with the
+/// default algorithm, as QueryServer replies do; the direct one asks for
+/// threads=2, so a default that forks is also held to thread-count
+/// identity. Returns the number of gate failures.
 int run_service_cases(CaseMap& cases) {
   using service::Viewpoint;
   const auto terr = std::make_shared<const Terrain>(bench::make(Family::Fbm, 48));
@@ -293,9 +302,8 @@ int run_service_cases(CaseMap& cases) {
       continue;
     }
     const Terrain direct_terrain = service::transform_terrain(*terr, vp);
-    const HsrResult direct = hidden_surface_removal(
-        direct_terrain, {.algorithm = Algorithm::Parallel, .threads = 2});
-    const HsrOptions opt{.algorithm = Algorithm::Parallel};
+    const HsrResult direct = hidden_surface_removal(direct_terrain, {.threads = 2});
+    const HsrOptions opt{};
     const HsrResult cold = cache.acquire(1, vp)->engine().solve(opt);
     bool hit = false;
     const HsrResult warm = cache.acquire(1, vp, &hit)->engine().solve(opt);
@@ -321,15 +329,15 @@ int run_service_cases(CaseMap& cases) {
   return failures;
 }
 
-/// Out-of-core streaming workloads (DESIGN.md section 1.11). Counter cases
-/// gate the streamed solve + scan work against the baseline (the synthetic
-/// grids are integer-hash noise, so the counters are host-independent like
-/// every other family). Two built-in hard gates: the streamed raster must
-/// be bit-identical to the monolithic solve at every resident-slab budget
-/// (with budget-invariant counters), and the tall case must complete under
-/// an enforced resident-bytes budget (tests/test_stream.cpp holds the same
-/// gates at more budgets and a 3,489-row file). Returns the number of gate
-/// failures.
+/// Out-of-core streaming workloads (DESIGN.md section 1.11), solved with the
+/// default algorithm. Counter cases gate the streamed solve + scan work
+/// against the baseline (the synthetic grids are integer-hash noise, so the
+/// counters are host-independent like every other family). Two built-in
+/// hard gates: the streamed raster must be bit-identical to the monolithic
+/// solve at every resident-slab budget (with budget-invariant counters),
+/// and the tall case must complete under an enforced resident-bytes budget
+/// (tests/test_stream.cpp holds the same gates at more budgets and a
+/// 3,489-row file). Returns the number of gate failures.
 int run_stream_cases(CaseMap& cases) {
   int failures = 0;
   const auto base_opt = [](u32 slab_rows, u32 B) {
@@ -339,7 +347,6 @@ int run_stream_cases(CaseMap& cases) {
     opt.width = 160;
     opt.height = 120;
     opt.supersample = 2;
-    opt.solve.algorithm = Algorithm::Parallel;
     opt.solve.threads = 2;
     return opt;
   };
@@ -364,8 +371,7 @@ int run_stream_cases(CaseMap& cases) {
       z_hi = any ? std::max(z_hi, q) : q;
       any = true;
     }
-    const HsrResult mono =
-        hidden_surface_removal(terr, {.algorithm = Algorithm::Parallel, .threads = 2});
+    const HsrResult mono = hidden_surface_removal(terr, {.threads = 2});
     raster::RasterOptions ropt;
     ropt.width = 160;
     ropt.height = 120;

@@ -222,7 +222,7 @@ void run_service_cases(CaseMap& cases, const Config& cfg) {
     for (const Lane& ln : lanes()) {
       const std::string name = std::string("service/fbm/g48/") + v.name + lane_suffix(ln);
       if (!selected(cfg, name)) continue;
-      const HsrOptions opt{.algorithm = Algorithm::Parallel, .threads = 1, .backend = ln.backend};
+      const HsrOptions opt{.threads = 1, .backend = ln.backend};
       const TimedStats s = bench::measure(
           [&] { (void)cache.acquire(1, v.vp)->engine().solve(opt); }, cfg.warmup, cfg.reps);
       record(cases, name, s, ln);
@@ -249,7 +249,6 @@ void run_stream_cases(CaseMap& cases, const Config& cfg) {
     opt.width = 160;
     opt.height = 120;
     opt.supersample = 2;
-    opt.solve.algorithm = Algorithm::Parallel;
     opt.solve.threads = ln.threads;
     opt.solve.backend = ln.backend;
     u64 peak = 0;

@@ -1,8 +1,8 @@
 /// city_skyline — output-size extremes on one plot: the same edge count n
 /// produces wildly different output sizes k depending on the scene, which is
-/// exactly why the paper insists on output-size sensitivity. Runs the
-/// parallel algorithm across all generator families at a fixed grid and
-/// prints n, k, k/n and the runtime, then renders the skyline scene.
+/// exactly why the paper insists on output-size sensitivity. Solves every
+/// generator family at a fixed grid with the default algorithm and prints
+/// n, k, k/n and the runtime, then renders the skyline scene.
 ///
 ///   ./city_skyline [grid=40] [seed=2]
 
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     gen.grid = grid;
     gen.seed = seed;
     const Terrain t = make_terrain(gen);
-    const HsrResult r = hidden_surface_removal(t, {.algorithm = Algorithm::Parallel});
+    const HsrResult r = hidden_surface_removal(t);
     table.row({family_name(f), Table::num(static_cast<long long>(r.stats.n_edges)),
                Table::num(static_cast<long long>(r.stats.k_pieces)),
                Table::num(static_cast<double>(r.stats.k_pieces) /

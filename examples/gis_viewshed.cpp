@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
       std::cout << "skipping azimuth " << v.name << ": rotated coordinates out of range\n";
       continue;
     }
-    const HsrResult r = hidden_surface_removal(t, {.algorithm = Algorithm::Parallel});
+    const HsrResult r = hidden_surface_removal(t);
     const double deg = std::atan2(static_cast<double>(v.b), static_cast<double>(v.a)) * 180.0 /
                        3.14159265358979;
     table.row({v.name, Table::num(deg, 1), Table::num(static_cast<long long>(t.edge_count())),

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   gen.amplitude = 8 * gen.grid;
   const Terrain t = make_terrain(gen);
 
-  const HsrResult r = hidden_surface_removal(t, {.algorithm = Algorithm::Parallel});
+  const HsrResult r = hidden_surface_removal(t);
 
   // Visible scene over the faint full wireframe.
   SvgOptions with_hidden;

@@ -1,8 +1,8 @@
 /// terrain_pipeline — the downstream-user workflow: load a terrain mesh
 /// from an OBJ file (or generate one and round-trip it through OBJ),
-/// prepare a session engine once, run the multi-stage solve (fast parallel
-/// answer, then a batched cross-check of the other algorithms against the
-/// same cached preprocessing), and export machine-readable results (CSV of
+/// prepare a session engine once, run the multi-stage solve (the default
+/// algorithm's answer, then a batched cross-check of the other algorithms
+/// against the same cached preprocessing), and export machine-readable results (CSV of
 /// visible pieces with exact rational endpoints) plus an SVG rendering.
 ///
 ///   ./terrain_pipeline input.obj [scale=1.0]
@@ -40,21 +40,20 @@ int main(int argc, char** argv) {
   std::cout << "  " << terrain.vertex_count() << " vertices, " << terrain.edge_count()
             << " edges\n";
 
-  // Stage 1: preprocess once (depth order, segment tables; the PCT joins
-  // the cache on the first parallel solve) …
+  // Stage 1: preprocess once (segment tables, depth order, PCT) …
   HsrEngine engine;
   engine.prepare(terrain);
   std::cout << "prepared in " << engine.prepare_seconds() * 1e3 << " ms\n";
 
-  // Stage 2: … answer with the paper's parallel algorithm …
-  const HsrResult r = engine.solve({.algorithm = Algorithm::Parallel});
+  // Stage 2: … answer with the default algorithm …
+  const HsrResult r = engine.solve();
   std::cout << "visible pieces: " << r.stats.k_pieces << ", image vertices: "
             << r.stats.k_crossings << ", solved in "
             << (r.stats.total_s - r.stats.order_s) * 1e3 << " ms (excl. prepare)\n";
 
   // Stage 3: … and cross-check the other algorithms as one batch against
   // the same cached preprocessing (all maps are bit-identical by contract).
-  const std::vector<HsrOptions> checks{{.algorithm = Algorithm::Sequential},
+  const std::vector<HsrOptions> checks{{.algorithm = Algorithm::Parallel},
                                        {.algorithm = Algorithm::Reference}};
   for (const HsrResult& c : engine.solve_batch(checks)) {
     if (const auto diff = r.map.first_difference(c.map)) {
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::cout << "cross-check: sequential + reference agree exactly\n";
+  std::cout << "cross-check: parallel + reference agree exactly\n";
 
   std::ofstream csv("pipeline_visibility.csv");
   csv << "edge,piece,y0,y1,kind0,kind1\n";

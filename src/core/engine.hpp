@@ -11,13 +11,13 @@
 ///
 ///   HsrEngine engine;
 ///   engine.prepare(terrain);              // preprocess once
-///   HsrResult a = engine.solve({.algorithm = Algorithm::Parallel});
-///   HsrResult b = engine.solve({.algorithm = Algorithm::Sequential});
+///   HsrResult a = engine.solve();         // the default: Sequential
+///   HsrResult b = engine.solve({.algorithm = Algorithm::Parallel, .threads = 4});
 ///   auto batch  = engine.solve_batch(options);   // fan out over the backend
 ///
 /// Beyond caching the preprocessing, the engine owns the working-set
 /// memory: every solve leases a workspace from the engine's pool, whose
-/// persistent-node arena is rewound (not freed) between solves and whose
+/// treap-node arena is rewound (not freed) between solves and whose
 /// phase scratch plus output-piece buffers are recycled. A lone caller
 /// always gets the same workspace back, so a warm solve whose predecessor
 /// was at least as large allocates zero new arena blocks once the retained

@@ -10,8 +10,10 @@
 ///                 path used as the correctness oracle. O((n+k)·|profile|)
 ///                 worst case: not output-sensitive.
 ///  * Sequential — Reif–Sen-style edge-at-a-time processing over the
-///                 persistent profile with polylog queries per edge:
+///                 treap profile with polylog queries per edge:
 ///                 O((n+k)·polylog n), the paper's sequential baseline [19].
+///                 It keeps only its live profile (single-version splices,
+///                 persist/ptreap.hpp). **The default.**
 ///  * Parallel   — the paper's algorithm: depth order via the separator
 ///                 substrate, PCT phase 1 (intermediate envelopes), PCT
 ///                 phase 2 (systolic prefix merging over persistent profile
@@ -19,12 +21,22 @@
 ///                 on the native work-stealing fork-join pool, or serially
 ///                 (runtime-selectable backend, DESIGN.md section 1.1).
 ///
+/// Sequential is the default because it is the fastest on every product
+/// path: on a g96 viewshed map, Parallel at four threads counts ~4× the
+/// predicates of Sequential on one core and takes ~2× its time, and a
+/// served query solves ~5× faster under Sequential (DESIGN.md section 2).
+/// Select Parallel to run the paper's algorithm; every result is the same
+/// map.
+///
 /// Example:
 /// \code
 ///   thsr::GenOptions gen{.family = thsr::Family::Fbm, .grid = 64};
 ///   thsr::Terrain t = thsr::make_terrain(gen);
-///   thsr::HsrResult r = thsr::hidden_surface_removal(t);
+///   thsr::HsrResult r = thsr::hidden_surface_removal(t);  // Sequential
 ///   std::cout << r.stats.k_pieces << " visible pieces\n";
+///   // The paper's algorithm on four threads: the same map.
+///   thsr::HsrResult p = thsr::hidden_surface_removal(
+///       t, {.algorithm = thsr::Algorithm::Parallel, .threads = 4});
 /// \endcode
 ///
 /// `hidden_surface_removal()` is a one-shot shim over the session engine;
@@ -56,7 +68,7 @@ const char* algorithm_name(Algorithm a) noexcept;
 enum class Phase2Oracle { Persistent, MaterializedScan };
 
 struct HsrOptions {
-  Algorithm algorithm{Algorithm::Parallel};
+  Algorithm algorithm{Algorithm::Sequential};  ///< the default: see the file comment
   int threads{0};                 ///< 0 = the calling thread's par::max_threads()
   bool collect_layer_stats{false};  ///< fill HsrStats::layers (Parallel only)
   Phase2Oracle phase2_oracle{Phase2Oracle::Persistent};
@@ -94,7 +106,10 @@ struct HsrStats {
   u64 k_pieces{0}, k_crossings{0};
   u64 depth_constraints{0};  ///< arcs behind the depth order (DepthOrder::constraints)
   u64 phase1_pieces{0};  ///< total intermediate-envelope pieces (Σ over PCT)
-  u64 treap_nodes{0};    ///< persistent nodes allocated over the whole run
+  u64 treap_nodes{0};    ///< treap node constructions over the whole run; a
+                         ///< Sequential solve builds each into the slot of a
+                         ///< node it superseded when one is free, so this
+                         ///< counts work, not the nodes it holds
   Counters work;         ///< operation counters for the run (work bound proxy)
   std::vector<LayerStats> layers;
 };

@@ -6,6 +6,12 @@
 /// visible runs are spliced into the profile. Total O((n + k) polylog n) —
 /// the work bound the parallel algorithm's Remark is measured against
 /// (bench table_e4_work_ratio).
+///
+/// No version is read after the next splice, so every splice runs in the
+/// treap's single-version mode: the nodes it supersedes return to the
+/// arena's free list, and the solve holds only its live profile (one arena
+/// block on every g96 family) while building and counting exactly the
+/// nodes a persistent run would.
 
 #include "core/detail.hpp"
 
@@ -54,7 +60,8 @@ VisibilityMap run_sequential(const HsrContext& ctx, Workspace& ws, HsrStats& sta
     const auto splice = [&](const QY& from, const QY& to) {
       if (prune != nullptr && prune->sample_free(from, to)) return;
       const PieceData piece{from, to, e};
-      profile = ptreap::replace_range(arena, profile, from, to, std::span(&piece, 1), ctx.segs);
+      profile = ptreap::replace_range(arena, profile, from, to, std::span(&piece, 1), ctx.segs,
+                                      ptreap::Mode::SingleVersion);
     };
     for (const TransitionEvent& ev : events) {
       if (ev.new_state == +1 && state != +1) {

@@ -23,6 +23,9 @@ struct PArena::ThreadSlot {
   const std::thread::id owner;      ///< the thread that allocates through it
   u32 base{0};                      ///< current block's id << kLog2BlockNodes
   std::size_t used{kBlockNodes};    ///< force a fresh block on first alloc
+  u32 free_head{kNilNode};          ///< released nodes, linked through PNode::l
+  u64 free_count{0};
+  u64 carved{0};                    ///< nodes taken from blocks since reset()
   std::atomic<u64> allocated{0};
 };
 
@@ -72,6 +75,14 @@ PArena::ThreadSlot& PArena::local_slot() {
 
 u32 PArena::alloc() {
   ThreadSlot& s = local_slot();
+  s.allocated.fetch_add(1, std::memory_order_relaxed);
+  work::count(Op::TreapNode);
+  if (s.free_head != kNilNode) {
+    const u32 idx = s.free_head;
+    s.free_head = node_mut(idx).l;
+    --s.free_count;
+    return idx;
+  }
   if (s.used == kBlockNodes) {
     Block* b = nullptr;
     {
@@ -89,9 +100,17 @@ u32 PArena::alloc() {
     s.base = b->id << kLog2BlockNodes;
     s.used = 0;
   }
-  s.allocated.fetch_add(1, std::memory_order_relaxed);
-  work::count(Op::TreapNode);
+  ++s.carved;
   return s.base | static_cast<u32>(s.used++);
+}
+
+void PArena::release(u32 idx) {
+  ThreadSlot& s = local_slot();
+  PNode& n = node_mut(idx);
+  n.count = 0;
+  n.l = s.free_head;
+  s.free_head = idx;
+  ++s.free_count;
 }
 
 void PArena::reset() {
@@ -102,6 +121,9 @@ void PArena::reset() {
   for (ThreadSlot* s : slots_) {
     s->base = 0;
     s->used = kBlockNodes;
+    s->free_head = kNilNode;
+    s->free_count = 0;
+    s->carved = 0;
   }
   free_ = blocks_;
 }
@@ -110,6 +132,20 @@ u64 PArena::node_count() const noexcept {
   std::lock_guard<std::mutex> lk(mu_);
   u64 total = 0;
   for (const ThreadSlot* s : slots_) total += s->allocated.load(std::memory_order_relaxed);
+  return total;
+}
+
+u64 PArena::carved_nodes() const noexcept {
+  std::lock_guard<std::mutex> lk(mu_);
+  u64 total = 0;
+  for (const ThreadSlot* s : slots_) total += s->carved;
+  return total;
+}
+
+u64 PArena::free_nodes() const noexcept {
+  std::lock_guard<std::mutex> lk(mu_);
+  u64 total = 0;
+  for (const ThreadSlot* s : slots_) total += s->free_count;
   return total;
 }
 
@@ -153,7 +189,20 @@ bool prio_less(const PNode& a, const PNode& b) noexcept {
 float widen_lo(double v) noexcept { return static_cast<float>(v - 0.5); }
 float widen_hi(double v) noexcept { return static_cast<float>(v + 0.5); }
 
-Ref make(PArena& a, Ref l, Ref r, const PieceData& p, std::span<const Seg2> segs) {
+// One update's allocation context. In single-version mode every node the
+// update supersedes is released to the calling thread's free list.
+struct Build {
+  PArena& a;
+  std::span<const Seg2> segs;
+  bool single{false};
+
+  void retire(Ref t) const {
+    if (single) a.release(t.index());
+  }
+};
+
+Ref make(const Build& b, Ref l, Ref r, const PieceData& p) {
+  PArena& a = b.a;
   const u32 i = a.alloc();
   PNode& n = a.node_mut(i);
   n.l = l.index();
@@ -161,7 +210,7 @@ Ref make(PArena& a, Ref l, Ref r, const PieceData& p, std::span<const Seg2> segs
   n.piece = p;
   n.prio = content_prio(p);
   n.count = 1 + (l ? l->count : 0) + (r ? r->count : 0);
-  const Seg2& s = resolve_seg(segs, p.edge);
+  const Seg2& s = resolve_seg(b.segs, p.edge);
   const double z0 = s.approx_at(p.y0), z1 = s.approx_at(p.y1);
   n.zlo = widen_lo(std::min(z0, z1));
   n.zhi = widen_hi(std::max(z0, z1));
@@ -176,56 +225,61 @@ Ref make(PArena& a, Ref l, Ref r, const PieceData& p, std::span<const Seg2> segs
   return Ref(&a, i);
 }
 
-// Rebuild a path-copy of `t` with new children (same piece => same prio).
-Ref rebuild(PArena& a, Ref t, Ref l, Ref r, std::span<const Seg2> segs) {
-  return make(a, l, r, t->piece, segs);
+// Path-copy `t` with new children (same piece => same prio); the original
+// is superseded.
+Ref rebuild(const Build& b, Ref t, Ref l, Ref r) {
+  const Ref copy = make(b, l, r, t->piece);
+  b.retire(t);
+  return copy;
 }
 
-Ref join(PArena& a, Ref x, Ref y, std::span<const Seg2> segs) {
+Ref join(const Build& b, Ref x, Ref y) {
   if (!x) return y;
   if (!y) return x;
-  if (prio_less(*y, *x)) return rebuild(a, x, x.left(), join(a, x.right(), y, segs), segs);
-  return rebuild(a, y, join(a, x, y.left(), segs), y.right(), segs);
+  if (prio_less(*y, *x)) return rebuild(b, x, x.left(), join(b, x.right(), y));
+  return rebuild(b, y, join(b, x, y.left()), y.right());
 }
 
-Ref leaf(PArena& a, const PieceData& p, std::span<const Seg2> segs) {
+Ref leaf(const Build& b, const PieceData& p) {
   THSR_DCHECK(p.y0 < p.y1);
-  return make(a, Ref{}, Ref{}, p, segs);
+  return make(b, Ref{}, Ref{}, p);
 }
 
 // Split by start key: L gets pieces with y0 < y, R the rest (no cutting).
-void split_key(PArena& a, Ref t, const QY& y, Ref& l, Ref& r, std::span<const Seg2> segs) {
+void split_key(const Build& b, Ref t, const QY& y, Ref& l, Ref& r) {
   if (!t) {
     l = r = Ref{};
     return;
   }
   if (cmp(t->piece.y0, y) < 0) {
     Ref rl;
-    split_key(a, t.right(), y, rl, r, segs);
-    l = rebuild(a, t, t.left(), rl, segs);
+    split_key(b, t.right(), y, rl, r);
+    l = rebuild(b, t, t.left(), rl);
   } else {
     Ref lr;
-    split_key(a, t.left(), y, l, lr, segs);
-    r = rebuild(a, t, lr, t.right(), segs);
+    split_key(b, t.left(), y, l, lr);
+    r = rebuild(b, t, lr, t.right());
   }
 }
 
 // Remove the maximum-key piece; returns the remaining tree via `rest`.
-PieceData remove_last(PArena& a, Ref t, Ref& rest, std::span<const Seg2> segs) {
+PieceData remove_last(const Build& b, Ref t, Ref& rest) {
   THSR_CHECK(bool(t));
   if (!t.right()) {
     rest = t.left();
-    return t->piece;
+    const PieceData p = t->piece;
+    b.retire(t);
+    return p;
   }
   Ref rr;
-  const PieceData p = remove_last(a, t.right(), rr, segs);
-  rest = rebuild(a, t, t.left(), rr, segs);
+  const PieceData p = remove_last(b, t.right(), rr);
+  rest = rebuild(b, t, t.left(), rr);
   return p;
 }
 
 // Split cutting pieces: L covers (-inf, y), R covers [y, +inf).
-void split_at(PArena& a, Ref t, const QY& y, Ref& l, Ref& r, std::span<const Seg2> segs) {
-  split_key(a, t, y, l, r, segs);
+void split_at(const Build& b, Ref t, const QY& y, Ref& l, Ref& r) {
+  split_key(b, t, y, l, r);
   if (!l) return;
   // The last piece of L may straddle y.
   Ref rest;
@@ -233,37 +287,49 @@ void split_at(PArena& a, Ref t, const QY& y, Ref& l, Ref& r, std::span<const Seg
   Ref m = l;
   while (m.right()) m = m.right();
   if (cmp(m->piece.y1, y) <= 0) return;  // no straddle
-  const PieceData p = remove_last(a, l, rest, segs);
+  const PieceData p = remove_last(b, l, rest);
   l = rest;
-  if (cmp(p.y0, y) < 0) l = join(a, l, leaf(a, PieceData{p.y0, y, p.edge}, segs), segs);
-  if (cmp(y, p.y1) < 0) r = join(a, leaf(a, PieceData{y, p.y1, p.edge}, segs), r, segs);
+  if (cmp(p.y0, y) < 0) l = join(b, l, leaf(b, PieceData{p.y0, y, p.edge}));
+  if (cmp(y, p.y1) < 0) r = join(b, leaf(b, PieceData{y, p.y1, p.edge}), r);
+}
+
+// Release every node of a subtree the update dropped.
+void drop(const Build& b, Ref t) {
+  if (!t) return;
+  drop(b, t.left());
+  drop(b, t.right());
+  b.retire(t);
 }
 
 }  // namespace
 
 Ref make_floor(PArena& a) {
-  return leaf(a, PieceData{QY::of(-kMaxCoord), QY::of(kMaxCoord), kFloorEdge}, {});
+  return leaf(Build{a, {}}, PieceData{QY::of(-kMaxCoord), QY::of(kMaxCoord), kFloorEdge});
 }
 
 Ref from_pieces(PArena& a, std::span<const PieceData> pieces, std::span<const Seg2> segs) {
+  const Build b{a, segs};
   Ref t;
-  for (const PieceData& p : pieces) t = join(a, t, leaf(a, p, segs), segs);
+  for (const PieceData& p : pieces) t = join(b, t, leaf(b, p));
   return t;
 }
 
 Ref replace_range(PArena& a, Ref t, const QY& lo, const QY& hi, std::span<const PieceData> run,
-                  std::span<const Seg2> segs) {
+                  std::span<const Seg2> segs, Mode mode) {
   THSR_DCHECK(lo < hi);
-  Ref left, mid, middle_right, right;
-  split_at(a, t, lo, left, mid, segs);
-  split_at(a, mid, hi, middle_right, right, segs);
-  (void)middle_right;  // covered interior of the old version: dropped wholesale
+  const Build b{a, segs, mode == Mode::SingleVersion};
+  Ref left, mid, interior, right;
+  split_at(b, t, lo, left, mid);
+  split_at(b, mid, hi, interior, right);
+  // The covered interior of the old version is dropped wholesale (an
+  // O(log) split); only a single-version update visits it, to release it.
+  if (b.single) drop(b, interior);
   Ref run_t;
   for (const PieceData& p : run) {
     THSR_DCHECK(cmp(p.y0, lo) >= 0 && cmp(p.y1, hi) <= 0);
-    run_t = join(a, run_t, leaf(a, p, segs), segs);
+    run_t = join(b, run_t, leaf(b, p));
   }
-  return join(a, join(a, left, run_t, segs), right, segs);
+  return join(b, join(b, left, run_t), right);
 }
 
 const PieceData* piece_at(Ref t, const QY& y, Side side) noexcept {

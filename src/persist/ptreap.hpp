@@ -26,14 +26,20 @@
 /// A version is a ptreap::Ref — (arena, root index) — and every descent
 /// resolves children through the arena's write-once block table. Compared
 /// with the previous two-pointer layout this shrinks the node (the child
-/// slots drop from 16 bytes to 8, and the node packs to 112 bytes instead
-/// of 128 under the 16-byte QY alignment), keeps sibling allocations in
+/// slots drop from 16 bytes to 8, and the node packs to 144 bytes instead
+/// of 160 under the 16-byte QY alignment), keeps sibling allocations in
 /// the same block after an arena reset, and caps a version's footprint so
 /// one host can hold more warm engines (Kammer et al., space-efficient
 /// HSR, PAPERS.md). The flattening is purely representational: the same
 /// make/join/split sequence runs node for node, so maps, shapes, and all
 /// work counters stay bit-identical to the pointer layout
 /// (tests/test_treap_property.cpp pins this against a pointer-based shim).
+///
+/// **Single-version splices (DESIGN.md section 1.9).** replace_range with
+/// `ptreap::Mode::SingleVersion` recycles every node it supersedes through
+/// the arena's free list. It builds the same nodes in the same order, so
+/// shapes, maps and counters equal a persistent run's; only the footprint
+/// shrinks, from the whole history to the live profile.
 ///
 /// **Resolution-bounded solves (DESIGN.md section 1.12).** The treap itself
 /// has no pruning hook: under `HsrOptions::pixel_budget` the envelope layer
@@ -81,16 +87,21 @@ inline constexpr u32 kNilNode = 0xffffffffu;
 /// Immutable persistent node, indexed — not addressed — through its arena.
 /// Fields are written once at construction and never mutated after the node
 /// becomes reachable from a published version. `l`/`r` are arena indices
-/// (kNilNode = empty); keeping them 32-bit is what packs the node to 112
-/// bytes under QY's 16-byte alignment.
+/// (kNilNode = empty); keeping them 32-bit is what packs the node to 144
+/// bytes under QY's 16-byte alignment: two 48-byte QYs and an edge id pad
+/// to a 112-byte piece, and the fields after it add 28. A node on a free
+/// list has count 0 and links the list through `l`.
 struct PNode {
   PieceData piece;
   u64 prio{0};           ///< content hash (shape determinism)
   u32 l{kNilNode};       ///< left child arena index
   u32 r{kNilNode};       ///< right child arena index
-  u32 count{1};          ///< subtree piece count
+  u32 count{1};          ///< subtree piece count (0 = released)
   float zlo{0}, zhi{0};  ///< conservative subtree z-range (outward-rounded)
 };
+// A size change moves every arena footprint the docs quote (a 2^14-node
+// block is 2.25 MiB): restate them with it.
+static_assert(sizeof(PNode) == 144);
 
 /// Bump allocator for persistent nodes, addressed by 32-bit index.
 /// Thread-safe: each thread fills its own blocks; the arena owns all memory
@@ -99,7 +110,9 @@ struct PNode {
 /// An arena is reusable across runs: reset() retains every block it ever
 /// allocated and rewinds the bump pointers, so a rebuild that fits in the
 /// prior footprint performs zero heap allocations (allocated() is the churn
-/// metric a warm HsrEngine::solve is gated on). Block-table slots are
+/// metric a warm HsrEngine::solve is gated on). Each thread's slot also
+/// keeps a free list of released nodes, which alloc() pops before carving
+/// a block and reset() empties. Block-table slots are
 /// assigned once per heap block and never move, so node(i) needs no lock:
 /// any index a reader holds was published to it across a fork-join edge
 /// that ordered the block-table write first.
@@ -117,12 +130,19 @@ class PArena {
   PArena& operator=(const PArena&) = delete;
   ~PArena();
 
-  /// Allocate one node; returns its arena index.
+  /// Allocate one node, reusing this thread's most recently released one
+  /// if any; returns its arena index. Every call counts as one node.
   u32 alloc();
+
+  /// Put a node no version will read again on this thread's free list and
+  /// poison it (count = 0), so a descent into it fails its DCHECK.
+  void release(u32 idx);
 
   /// The node at `idx` (read-only: published nodes are immutable).
   const PNode& node(u32 idx) const noexcept {
-    return table_[idx >> kLog2BlockNodes][idx & (kBlockNodes - 1)];
+    const PNode& n = table_[idx >> kLog2BlockNodes][idx & (kBlockNodes - 1)];
+    THSR_DCHECK(n.count != 0);  // released nodes are unreachable
+    return n;
   }
 
   /// Construction-time access for the node most recently alloc()ed by this
@@ -132,14 +152,22 @@ class PArena {
   }
 
   /// Recycle the arena: every version ever allocated from it becomes
-  /// invalid, all blocks are retained on a free list, and subsequent
-  /// alloc() calls refill them before touching the heap. Must not run
-  /// concurrently with alloc() (callers separate runs with a join).
+  /// invalid, all blocks are retained on a free list, every node free list
+  /// is emptied, and subsequent alloc() calls refill the blocks before
+  /// touching the heap. Must not run concurrently with alloc() (callers
+  /// separate runs with a join).
   void reset();
 
   /// Total nodes ever allocated, across resets (persistence cost metric,
   /// bench table_f3).
   u64 node_count() const noexcept;
+
+  /// Nodes carved from blocks since the last reset(), and released nodes
+  /// now on free lists. Every carved node is reachable or free, so in
+  /// single-version use carved - free is the live profile's size. Like
+  /// reset(), neither may run concurrently with alloc() or release().
+  u64 carved_nodes() const noexcept;
+  u64 free_nodes() const noexcept;
 
   /// Total blocks ever heap-allocated. Stays constant across a reset()
   /// followed by a rebuild that fits in the retained blocks — the
@@ -195,6 +223,14 @@ class Ref {
   u32 idx_{kNilNode};
 };
 
+/// What replace_range does with the nodes it supersedes.
+///  * Persistent    — keeps them: every earlier version stays readable
+///                    (phase 2 of the Parallel solve queries old versions).
+///  * SingleVersion — the caller never reads the input version again, so
+///                    each superseded node is released to the calling
+///                    thread's free list (the Sequential solve).
+enum class Mode { Persistent, SingleVersion };
+
 /// The initial profile P_0: just the floor.
 Ref make_floor(PArena& a);
 
@@ -205,8 +241,11 @@ Ref from_pieces(PArena& a, std::span<const PieceData> pieces, std::span<const Se
 /// [lo, hi) exactly). Pieces straddling lo/hi are cut; the covered interior
 /// is dropped wholesale (an O(log) split), which is where the merge's
 /// output-sensitivity comes from. O((|run| + log n) log n) node copies.
+/// With Mode::SingleVersion `t` must not be read again (nor any version
+/// sharing its nodes); the same nodes are built, and the superseded ones
+/// are released.
 Ref replace_range(PArena& a, Ref t, const QY& lo, const QY& hi, std::span<const PieceData> run,
-                  std::span<const Seg2> segs);
+                  std::span<const Seg2> segs, Mode mode = Mode::Persistent);
 
 /// Piece covering the open interval adjacent to y on `side`; nullptr when y
 /// is outside the version's coverage.

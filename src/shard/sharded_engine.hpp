@@ -6,7 +6,7 @@
 ///
 ///   shard::ShardedEngine engine;
 ///   engine.prepare(terrain, /*slabs=*/8);   // decompose + prepare each slab
-///   HsrResult r = engine.solve({.algorithm = Algorithm::Parallel});
+///   HsrResult r = engine.solve();           // each slab: the default algorithm
 ///
 /// The stitched map is piece-for-piece identical to a monolithic
 /// HsrEngine solve of the same terrain, after both are coalesced at the

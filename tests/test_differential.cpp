@@ -358,8 +358,7 @@ TEST(Differential, AscTextParsers) {
       payload += random_gap(g);
     }
     if (g() % 4 == 0) payload += "trailing text after the grid\n";
-    const std::string path =
-        ::testing::TempDir() + "/thsr_asc_text_" + std::to_string(seed) + ".asc";
+    const std::string path = test::temp_path("thsr_asc_text_" + std::to_string(seed), ".asc");
     test::expect_reads_match(test::read_every_way(text + payload, path),
                              test::reference_payload(payload, want),
                              std::to_string(cols) + "x" + std::to_string(rows) + " DEM text");

@@ -143,6 +143,40 @@ TEST(Engine, WarmSolveAllocatesNoNewArenaBlocks) {
   }
 }
 
+// A Sequential solve splices in the treap's single-version mode: every node
+// it supersedes is reused, so the solve holds its live profile — far below
+// one 2^14-node block on each g96 family — and not its history (92,762
+// nodes on fbm, 771,572 on terrace_back), while counting the same nodes as
+// a one-shot.
+TEST(Engine, WarmSequentialSolveHoldsOneArenaBlock) {
+  for (const Family f : {Family::Fbm, Family::TerraceBack, Family::RidgeFront}) {
+    const Terrain t = make(f, 96, 5);
+    const HsrOptions opt{.algorithm = Algorithm::Sequential, .threads = 1};
+    const HsrResult one_shot = hidden_surface_removal(t, opt);
+    HsrEngine engine;
+    engine.prepare(t);
+    (void)engine.solve(opt);
+    const HsrResult warm = engine.solve(opt);
+    EXPECT_EQ(engine.arena_blocks(), 1u) << "family " << static_cast<int>(f);
+    EXPECT_EQ(warm.stats.treap_nodes, one_shot.stats.treap_nodes)
+        << "family " << static_cast<int>(f);
+  }
+}
+
+// The free list a Sequential solve leaves behind must not leak into the
+// next solve of the same workspace: Parallel keeps full persistence.
+TEST(Engine, ParallelAfterSequentialMatchesFreshSolve) {
+  const Terrain t = make(Family::TerraceBack, 24, 3);
+  HsrEngine engine;
+  engine.prepare(t);
+  for (const int threads : {1, 2}) {
+    const HsrOptions par_opt{.algorithm = Algorithm::Parallel, .threads = threads};
+    (void)engine.solve({.algorithm = Algorithm::Sequential, .threads = threads});
+    expect_identical(engine.solve(par_opt), hidden_surface_removal(t, par_opt),
+                     "parallel after sequential, threads " + std::to_string(threads));
+  }
+}
+
 TEST(Engine, RecycledResultStorageYieldsIdenticalNextSolve) {
   const Terrain t = make(Family::Spikes, 14);
   const HsrOptions opt{.algorithm = Algorithm::Parallel};

@@ -38,7 +38,7 @@ TEST(Svg, VisibilityRenderContainsVisiblePieces) {
   opt.grid = 10;
   const Terrain t = make_terrain(opt);
   const auto r = hidden_surface_removal(t);
-  const std::string path = ::testing::TempDir() + "/thsr_vis.svg";
+  const std::string path = test::temp_path("thsr_vis", ".svg");
   render_visibility_svg(t, r.map, path);
   const std::string svg = slurp(path);
   EXPECT_NE(svg.find("<svg"), std::string::npos);
@@ -60,7 +60,7 @@ TEST(Svg, EnvelopeRender) {
     }
   }
   const Envelope env = envelope_of(ids, segs);
-  const std::string path = ::testing::TempDir() + "/thsr_env.svg";
+  const std::string path = test::temp_path("thsr_env", ".svg");
   render_envelope_svg(t, env, segs, path);
   EXPECT_NE(slurp(path).find("#c1121f"), std::string::npos);
   std::remove(path.c_str());
@@ -88,8 +88,7 @@ TEST(Table, CsvWriterHonorsEnvironment) {
   Table t({"a", "b"});
   t.row({"1", "x"});
   t.row({"2", "y"});
-  const std::string dir = ::testing::TempDir();
-  const std::string cwd_guard = dir + "/thsr_csv_test";
+  const std::string cwd_guard = test::temp_path("thsr_csv_test");
   ASSERT_EQ(setenv("THSR_BENCH_CSV", "0", 1), 0);
   t.maybe_write_csv(cwd_guard + "_off");
   EXPECT_FALSE(std::ifstream(cwd_guard + "_off.csv").good());
@@ -144,7 +143,7 @@ TEST(Pgm, RoundTripSixteenBit) {
 
 TEST(Pgm, RoundTripThroughFile) {
   const io::GrayImage img = random_gray(13, 8, 6, 1000);
-  const std::string path = ::testing::TempDir() + "/thsr_io.pgm";
+  const std::string path = test::temp_path("thsr_io", ".pgm");
   io::write_pgm(img, path);
   const io::GrayImage back = io::read_pgm(path);
   EXPECT_EQ(back.pixels, img.pixels);
@@ -386,7 +385,7 @@ TEST(AscReader, WindowedFileLoadMatchesWholeFile) {
   g.nodata = -9999.0;
   g.yll = 100.0;
   g.cellsize = 2.0;
-  const std::string path = ::testing::TempDir() + "/thsr_window.asc";
+  const std::string path = test::temp_path("thsr_window", ".asc");
   save_asc_grid(g, path);
 
   const AscGrid whole = load_asc_grid(path);
@@ -407,7 +406,7 @@ TEST(AscReader, WindowedFileLoadMatchesWholeFile) {
 
 TEST(AscReader, MmapAndStreamPathsAgree) {
   const AscGrid g = distinct_grid(7, 4);
-  const std::string path = ::testing::TempDir() + "/thsr_mmap.asc";
+  const std::string path = test::temp_path("thsr_mmap", ".asc");
   save_asc_grid(g, path);
   std::vector<double> mapped_vals(g.values.size()), stream_vals(g.values.size());
   {
@@ -491,7 +490,7 @@ TEST(AscReader, NodataOnlyWindowLoadsButDoesNotTriangulate) {
       g.values[static_cast<std::size_t>(r) * g.ncols + c] = *g.nodata;
     }
   }
-  const std::string path = ::testing::TempDir() + "/thsr_nodata_window.asc";
+  const std::string path = test::temp_path("thsr_nodata_window", ".asc");
   save_asc_grid(g, path);
   const AscGrid win = load_asc_window(path, 2, 4);  // the all-NODATA band
   EXPECT_EQ(win.nrows, 2u);
@@ -512,7 +511,7 @@ std::string asc_header(u32 ncols, u32 nrows, const char* eol = "\n") {
 }
 
 TEST(AscParser, TokenCorpusMatchesStreamExtraction) {
-  const std::string path = ::testing::TempDir() + "/thsr_token.asc";
+  const std::string path = test::temp_path("thsr_token", ".asc");
   // Accepted by `>>`: signs, leading zeros, bare points, exponents, the
   // subnormal floor and underflows (read as zero). Rejected: overflow,
   // inf/nan, hex, dangling exponents, doubled or lone signs, lone points,
@@ -544,7 +543,7 @@ TEST(AscParser, TokenCorpusMatchesStreamExtraction) {
 }
 
 TEST(AscParser, SeparatorsAndLineWrapsMatchStreamExtraction) {
-  const std::string path = ::testing::TempDir() + "/thsr_separators.asc";
+  const std::string path = test::temp_path("thsr_separators", ".asc");
   // Tab, \v, \f, CRLF, blank lines and values wrapped across lines: only
   // the token sequence matters, never the line structure.
   const std::string payload = "+5\t-.5\v5.\f\r\n007\n\n1E-5 \r\n 4.9e-324\r\n";
@@ -555,7 +554,7 @@ TEST(AscParser, SeparatorsAndLineWrapsMatchStreamExtraction) {
 }
 
 TEST(AscParser, TokensBeyondOneChunkAreRejectedEverywhere) {
-  const std::string path = ::testing::TempDir() + "/thsr_long_token.asc";
+  const std::string path = test::temp_path("thsr_long_token", ".asc");
   // A long but sane token reads everywhere, also where it straddles the
   // boundary of the unmapped sources' 64 KiB read chunks...
   const std::string header = asc_header(2, 1);
@@ -592,7 +591,7 @@ std::vector<std::uint16_t> band_of(const io::GrayImage& img, u32 lo, u32 hi) {
 }
 
 TEST(BandWriter, ContractViolationsThrow) {
-  const std::string path = ::testing::TempDir() + "/thsr_band_contract.pgm";
+  const std::string path = test::temp_path("thsr_band_contract", ".pgm");
   const std::vector<std::uint16_t> samples(8 * 3, 7);
   {
     io::PgmBandWriter w(path, 8, 3);
@@ -623,8 +622,8 @@ TEST(BandWriter, ContractViolationsThrow) {
 }
 
 TEST(BandWriter, BandsInAnyOrderMatchWritePgm) {
-  const std::string band_path = ::testing::TempDir() + "/thsr_band_any_order.pgm";
-  const std::string whole_path = ::testing::TempDir() + "/thsr_band_whole.pgm";
+  const std::string band_path = test::temp_path("thsr_band_any_order", ".pgm");
+  const std::string whole_path = test::temp_path("thsr_band_whole", ".pgm");
   auto g = test::rng(909);
   for (const std::uint16_t maxval : {std::uint16_t{255}, std::uint16_t{65535}}) {
     const io::GrayImage img = random_gray(17 + maxval, 23, 7, maxval);

@@ -8,7 +8,6 @@
 /// peak of a file-backed stream must not grow with the grid's row count.
 
 #include <gtest/gtest.h>
-#include <unistd.h>  // getpid: temp file names private to this process
 
 #include <cmath>
 #include <cstdio>
@@ -353,8 +352,7 @@ TEST(Stream, ResidencyDoesNotGrowWithRowCount) {
   constexpr u64 kBytesPerResidentSlab = u64{8} << 20;
   std::vector<std::string> paths;
   for (const u32 rows : {481u, 3489u}) {
-    paths.push_back(::testing::TempDir() + "/thsr_stream_r" + std::to_string(rows) + "_" +
-                    std::to_string(::getpid()) + ".asc");
+    paths.push_back(test::temp_path("thsr_stream_r" + std::to_string(rows), ".asc"));
     save_asc_grid(support::stream_grid(32, rows, /*seed=*/11), paths.back());
   }
   for (const u32 B : {1u, 2u, 4u}) {
@@ -449,7 +447,7 @@ TEST(Stream, TallGridStreamsAtDefaultSlabs) {
 
 TEST(Stream, AscFileSourceMatchesGridSource) {
   const AscGrid g = test::make_asc_grid(14, 11, test::GridFamily::Holes, 9);
-  const std::string path = ::testing::TempDir() + "/thsr_stream_src.asc";
+  const std::string path = test::temp_path("thsr_stream_src", ".asc");
   save_asc_grid(g, path);
 
   stream::StreamOptions opt;
@@ -474,7 +472,7 @@ TEST(Stream, AscFileSourceMatchesGridSource) {
 
 TEST(Stream, PgmCoverageSinkRoundTrips) {
   const AscGrid g = test::make_asc_grid(12, 11, test::GridFamily::Smooth, 4);
-  const std::string path = ::testing::TempDir() + "/thsr_stream_cov.pgm";
+  const std::string path = test::temp_path("thsr_stream_cov", ".pgm");
   stream::StreamOptions opt;
   opt.slab_rows = 3;
   opt.width = 24;
@@ -504,7 +502,7 @@ TEST(Stream, PgmCoverageSinkRoundTrips) {
 
 TEST(Stream, AscTileSinkTilesTheImage) {
   const AscGrid g = test::make_asc_grid(12, 9, test::GridFamily::Smooth, 6);
-  const std::string prefix = ::testing::TempDir() + "/thsr_stream_tile";
+  const std::string prefix = test::temp_path("thsr_stream_tile");
   stream::StreamOptions opt;
   opt.slab_rows = 2;
   opt.width = 20;

@@ -18,6 +18,11 @@
 ///     duplicates the content-hash and tie-break constants, so any drift in
 ///     shape, priorities, or counts fails here before it can silently
 ///     change maps or work counters.
+///  4. Single-version equivalence — the same splice histories replayed with
+///     ptreap::Mode::SingleVersion (superseded nodes recycled through the
+///     arena's free list) build, after every splice, the persistent run's
+///     tree node for node, count the same nodes, and hold exactly the live
+///     tree plus the free list.
 
 #include <gtest/gtest.h>
 
@@ -351,6 +356,43 @@ TEST_P(PTreapPropertyP, ArenaLayoutMatchesPointerShimNodeForNode) {
   }
 }
 
+// --- 4. single-version equivalence -------------------------------------------
+
+void expect_same_tree(ptreap::Ref a, ptreap::Ref b) {
+  ASSERT_EQ(bool(a), bool(b));
+  if (!a) return;
+  EXPECT_EQ(cmp(a->piece.y0, b->piece.y0), 0);
+  EXPECT_EQ(cmp(a->piece.y1, b->piece.y1), 0);
+  EXPECT_EQ(a->piece.edge, b->piece.edge);
+  EXPECT_EQ(a->prio, b->prio);
+  EXPECT_EQ(a->count, b->count);
+  EXPECT_EQ(a->zlo, b->zlo);
+  EXPECT_EQ(a->zhi, b->zhi);
+  expect_same_tree(a.left(), b.left());
+  expect_same_tree(a.right(), b.right());
+}
+
+TEST_P(PTreapPropertyP, SingleVersionSplicesMatchPersistentOnes) {
+  const u64 seed = GetParam();
+  PArena persistent, single;
+  const auto segs = wide_segments(seed * 13 + 7, 16);
+  ptreap::Ref p = ptreap::make_floor(persistent);
+  ptreap::Ref s = ptreap::make_floor(single);
+  for (const Splice& sp : random_splices(seed ^ 0x51e6, 200, 15)) {
+    p = ptreap::replace_range(persistent, p, sp.lo, sp.hi, sp.run, segs);
+    s = ptreap::replace_range(single, s, sp.lo, sp.hi, sp.run, segs, ptreap::Mode::SingleVersion);
+    ptreap::validate(s, segs);
+    expect_snapshot_equal(snapshot(s), snapshot(p));
+    expect_same_tree(s, p);
+    // Every carved node is live or free — never both (a released node that
+    // is still reachable) and never neither (a superseded node not released).
+    ASSERT_EQ(single.carved_nodes(), ptreap::count(s) + single.free_nodes());
+  }
+  EXPECT_EQ(single.node_count(), persistent.node_count());  // alloc() counts reuse
+  EXPECT_LT(single.carved_nodes(), persistent.carved_nodes());
+  EXPECT_EQ(persistent.free_nodes(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PTreapPropertyP, ::testing::Values(1, 2, 3, 4, 5),
                          [](const auto& info) { return "seed" + std::to_string(info.param); });
 
@@ -387,6 +429,30 @@ TEST(PTreapProperty, ResetRebuildAssignsIdenticalIndices) {
   const std::vector<u32> warm = indices(build());
   EXPECT_EQ(cold, warm);
   EXPECT_EQ(arena.allocated(), blocks);  // zero new heap blocks
+}
+
+TEST(PTreapProperty, ReleasedNodesArePoisonedAndReusedFirst) {
+  PArena arena;
+  const ptreap::Ref a = ptreap::make_floor(arena);
+  const ptreap::Ref b = ptreap::make_floor(arena);
+  arena.release(a.index());
+  arena.release(b.index());
+  EXPECT_EQ(arena.node_mut(a.index()).count, 0u);
+  EXPECT_EQ(arena.free_nodes(), 2u);
+#ifndef NDEBUG
+  // A descent into a released node fails its DCHECK instead of reading a
+  // slot a later splice may have reused.
+  EXPECT_DEATH((void)ptreap::count(a), "count != 0");
+#endif
+  EXPECT_EQ(arena.alloc(), b.index());  // LIFO: the last released node first
+  EXPECT_EQ(arena.alloc(), a.index());
+  EXPECT_EQ(arena.carved_nodes(), 2u);
+  EXPECT_EQ(arena.node_count(), 4u);
+  arena.release(a.index());
+  arena.reset();  // empties the free list: the next node is carved anew
+  EXPECT_EQ(arena.free_nodes(), 0u);
+  (void)arena.alloc();
+  EXPECT_EQ(arena.carved_nodes(), 1u);
 }
 
 }  // namespace

@@ -64,8 +64,19 @@ inline void expect_envelope_exact(const Envelope& env, std::span<const Seg2> seg
 
 // gtest-dependent part.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <string>
 
 namespace thsr::test {
+
+/// A path in ::testing::TempDir() private to this process: `stem`, the
+/// process id, then `ext`. Suites running at once (the asan and tsan
+/// presets side by side, or two checkouts) never truncate each other's
+/// files, which kills a reader that has one mapped with SIGBUS.
+inline std::string temp_path(const std::string& stem, const std::string& ext = "") {
+  return ::testing::TempDir() + "/" + stem + "_" + std::to_string(::getpid()) + ext;
+}
 
 inline void expect_envelope_exact(const Envelope& env, std::span<const Seg2> segs,
                                   std::span<const u32> ids, i64 lo, i64 hi) {
