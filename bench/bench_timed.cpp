@@ -117,9 +117,40 @@ void run_prepare_cases(CaseMap& cases, const Config& cfg) {
 
 /// Warm HsrEngine solves: prepare once, let the harness warmup be the cold
 /// solve that sizes the arena, then time steady-state solves — the path
-/// the arena-indexed treap flattening targets. Also stamps the retained
-/// arena footprint so artifacts track resident cost next to wall clock.
+/// the arena-indexed treap flattening targets. Also stamps the reserved
+/// arena footprint (whole blocks) so artifacts track memory next to wall
+/// clock.
 void run_engine_cases(CaseMap& cases, const Config& cfg) {
+  const auto time_warm = [&](HsrEngine& e, const std::string& name, const HsrOptions& opt,
+                             const Lane& ln) {
+    const TimedStats s = bench::measure(
+        [&] {
+          HsrResult r = e.solve(opt);
+          e.recycle(std::move(r));
+        },
+        cfg.warmup, cfg.reps);
+    record(cases, name, s, ln);
+    cases[name]["arena_footprint_bytes"] = e.arena_footprint_bytes();
+  };
+
+  // Warm Sequential solves of the five g96 families (seed 5), whose cost
+  // splits differently: ridge_front and valley are walk-bound (a few
+  // hundred visible pieces from 27,265 edges), terrace_back is
+  // splice-bound (every edge visible), fbm and spikes lie in between.
+  // Sequential never enters a parallel region, so only the serial lane
+  // runs them.
+  const Lane serial = lanes().front();
+  for (const Family f : {Family::Fbm, Family::RidgeFront, Family::TerraceBack, Family::Spikes,
+                         Family::Valley}) {
+    const std::string name =
+        std::string("engine/") + family_name(f) + "/g96/warm-seq" + lane_suffix(serial);
+    if (!selected(cfg, name)) continue;
+    const Terrain terr = bench::make(f, 96, 5);
+    HsrEngine eng;
+    eng.prepare(terr);
+    time_warm(eng, name, {.threads = serial.threads, .backend = serial.backend}, serial);
+  }
+
   const Terrain terr = bench::make(Family::Fbm, 48);
   HsrEngine eng;
   eng.prepare(terr);
@@ -136,16 +167,8 @@ void run_engine_cases(CaseMap& cases, const Config& cfg) {
       const std::string name =
           std::string("engine/fbm/g48/warm/") + alg.name + lane_suffix(ln);
       if (!selected(cfg, name)) continue;
-      const HsrOptions opt{
-          .algorithm = alg.algorithm, .threads = ln.threads, .backend = ln.backend};
-      const TimedStats s = bench::measure(
-          [&] {
-            HsrResult r = eng.solve(opt);
-            eng.recycle(std::move(r));
-          },
-          cfg.warmup, cfg.reps);
-      record(cases, name, s, ln);
-      cases[name]["arena_footprint_bytes"] = eng.arena_footprint_bytes();
+      time_warm(eng, name,
+                {.algorithm = alg.algorithm, .threads = ln.threads, .backend = ln.backend}, ln);
     }
   }
 

@@ -21,9 +21,11 @@
 /// envelopes, and bench table_e10_ablation_oracle quantifies the
 /// substitution (DESIGN.md sec. 1.3).
 ///
-/// Cost: O((1 + #events) * log |P|) node visits on terrain-like profiles;
-/// all published versions are immutable, so any number of walks may run
-/// concurrently (CREW).
+/// Cost: O((1 + #events) * log |P|) node visits on terrain-like profiles.
+/// A walk only reads: persistent versions are never rewritten, so any
+/// number of walks may run on them concurrently (CREW); a single-version
+/// profile (ptreap::Mode::SingleVersion) is read by its one owner between
+/// its splices.
 
 #include <vector>
 
@@ -40,12 +42,12 @@ struct TransitionEvent {
   EventKind kind{EventKind::Break};
 };
 
-/// State of s relative to version t just after y: +1 strictly above,
-/// -1 below or tied (ties lose to the profile: the profile is in front).
-int state_after(ptreap::Ref t, const Seg2& s, const QY& y, std::span<const Seg2> segs);
-
 /// Append all transitions of s vs version t on (from, to) to `out`, in
-/// increasing y order; returns the initial state just after `from`.
+/// increasing y order; returns the initial state just after `from`: +1
+/// when s is strictly above t there, -1 below or tied (ties lose to the
+/// profile: the profile is in front). The walk reads that state off the
+/// first piece (or pruned subtree) it meets — the one covering `from` —
+/// so it costs no separate descent, and that first stretch emits no event.
 /// Requires [from, to] within the floor coverage (always true for terrain
 /// edges) and from < to.
 int walk_transitions(ptreap::Ref t, const Seg2& s, const QY& from, const QY& to,

@@ -158,9 +158,10 @@ HsrResult HsrEngine::solve(const HsrOptions& opt) {
 
   ws.arena.reset();  // recycle every block from the previous solve
   // A solve that runs entirely on this thread counts from this thread's
-  // counters alone, which stay exact while other threads solve; any other
-  // solve diffs the global snapshot.
-  const bool local = par::runs_inline();
+  // counters alone, which stay exact while other threads solve. Only a
+  // Parallel solve outside an inline scope forks, and only it diffs the
+  // global snapshot; Sequential and Reference never leave this thread.
+  const bool local = opt.algorithm != Algorithm::Parallel || par::runs_inline();
   const Counters before = local ? work::local_snapshot() : work::snapshot();
 
   // Resolution-bounded solve: one predicate instance, shared read-only by

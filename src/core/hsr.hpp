@@ -106,10 +106,13 @@ struct HsrStats {
   u64 k_pieces{0}, k_crossings{0};
   u64 depth_constraints{0};  ///< arcs behind the depth order (DepthOrder::constraints)
   u64 phase1_pieces{0};  ///< total intermediate-envelope pieces (Σ over PCT)
-  u64 treap_nodes{0};    ///< treap node constructions over the whole run; a
-                         ///< Sequential solve builds each into the slot of a
-                         ///< node it superseded when one is free, so this
-                         ///< counts work, not the nodes it holds
+  u64 treap_nodes{0};    ///< treap node constructions over the whole run:
+                         ///< Parallel's path copies plus fresh leaves;
+                         ///< Sequential rewrites path nodes in place, so it
+                         ///< constructs only the leaves its splices add
+                         ///< (visible runs and the fragments of cut pieces),
+                         ///< each in the slot of a dropped node when one is
+                         ///< free. Counts work, not the nodes a solve holds.
   Counters work;         ///< operation counters for the run (work bound proxy)
   std::vector<LayerStats> layers;
 };

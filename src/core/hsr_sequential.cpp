@@ -8,10 +8,12 @@
 /// (bench table_e4_work_ratio).
 ///
 /// No version is read after the next splice, so every splice runs in the
-/// treap's single-version mode: the nodes it supersedes return to the
-/// arena's free list, and the solve holds only its live profile (one arena
-/// block on every g96 family) while building and counting exactly the
-/// nodes a persistent run would.
+/// treap's single-version mode: it rewrites the nodes on its path in place
+/// (the persistent run's shapes, without its copies), the nodes it drops
+/// return to the arena's free list, and the solve holds only its live
+/// profile (one arena block on every g96 family). Each edge's walk reads
+/// its initial state off the first piece it meets, so a hidden edge costs
+/// one pruned walk and no separate descent.
 
 #include "core/detail.hpp"
 

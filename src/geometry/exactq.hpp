@@ -73,8 +73,9 @@ struct QY {
   /// True when the value is an integer that fits i64 (used by tests/IO).
   bool is_integer() const noexcept { return p % q == 0; }
 
-  /// Nearest double (exact for integers up to 2^53).
-  double approx() const noexcept { return static_cast<double>(p) / static_cast<double>(q); }
+  /// Nearest double (exact for integers up to 2^53): the quotient of the
+  /// cached mirrors, the same double as converting p and q afresh.
+  double approx() const noexcept { return pd / qd; }
 };
 
 /// Three-way exact compare: sign(a - b).

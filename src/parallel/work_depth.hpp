@@ -21,7 +21,9 @@ namespace thsr {
 
 enum class Op : unsigned {
   Crossing = 0,     ///< envelope/profile crossings discovered
-  TreapNode,        ///< persistent nodes allocated (path copies + fresh)
+  TreapNode,        ///< treap nodes constructed: persistent path copies and
+                    ///< fresh leaves (single-version splices rewrite their
+                    ///< paths in place and construct only leaves)
   OracleQuery,      ///< first-crossing / next-transition queries issued
   OracleStep,       ///< tree nodes visited inside oracle descents
   EnvPiece,         ///< envelope pieces produced by phase-1 merges

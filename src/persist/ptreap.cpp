@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <new>
 #include <thread>
 
 #include "parallel/work_depth.hpp"
@@ -13,9 +14,18 @@ namespace thsr {
 // ---------------------------------------------------------------------------
 
 struct PArena::Block {
+  // Raw storage: nothing writes a node before make() carves it (PNode is an
+  // implicit-lifetime aggregate and make() sets every field), so a block's
+  // pages become resident only as nodes are carved from it.
+  struct Free {
+    void operator()(PNode* p) const noexcept {
+      ::operator delete(p, std::align_val_t{alignof(PNode)});
+    }
+  };
   explicit Block(u32 block_id) : id(block_id) {}
   const u32 id;  ///< block-table slot; fixed for the block's lifetime
-  std::unique_ptr<PNode[]> mem{new PNode[kBlockNodes]};
+  std::unique_ptr<PNode, Free> mem{static_cast<PNode*>(
+      ::operator new(sizeof(PNode) * kBlockNodes, std::align_val_t{alignof(PNode)}))};
 };
 
 struct PArena::ThreadSlot {
@@ -190,7 +200,8 @@ float widen_lo(double v) noexcept { return static_cast<float>(v - 0.5); }
 float widen_hi(double v) noexcept { return static_cast<float>(v + 0.5); }
 
 // One update's allocation context. In single-version mode every node the
-// update supersedes is released to the calling thread's free list.
+// update supersedes is rewritten in place or released to the calling
+// thread's free list.
 struct Build {
   PArena& a;
   std::span<const Seg2> segs;
@@ -201,17 +212,14 @@ struct Build {
   }
 };
 
-Ref make(const Build& b, Ref l, Ref r, const PieceData& p) {
-  PArena& a = b.a;
-  const u32 i = a.alloc();
-  PNode& n = a.node_mut(i);
+// Set n's children and the summaries derived from them: the subtree count
+// and the z-box of n's own piece widened over both children.
+void link(const Build& b, PNode& n, Ref l, Ref r) {
   n.l = l.index();
   n.r = r.index();
-  n.piece = p;
-  n.prio = content_prio(p);
   n.count = 1 + (l ? l->count : 0) + (r ? r->count : 0);
-  const Seg2& s = resolve_seg(b.segs, p.edge);
-  const double z0 = s.approx_at(p.y0), z1 = s.approx_at(p.y1);
+  const Seg2& s = resolve_seg(b.segs, n.piece.edge);
+  const double z0 = s.approx_at(n.piece.y0), z1 = s.approx_at(n.piece.y1);
   n.zlo = widen_lo(std::min(z0, z1));
   n.zhi = widen_hi(std::max(z0, z1));
   if (l) {
@@ -222,15 +230,25 @@ Ref make(const Build& b, Ref l, Ref r, const PieceData& p) {
     n.zlo = std::min(n.zlo, r->zlo);
     n.zhi = std::max(n.zhi, r->zhi);
   }
+}
+
+Ref make(const Build& b, Ref l, Ref r, const PieceData& p) {
+  PArena& a = b.a;
+  const u32 i = a.alloc();
+  PNode& n = a.node_mut(i);
+  n.piece = p;
+  n.prio = content_prio(p);
+  link(b, n, l, r);
   return Ref(&a, i);
 }
 
-// Path-copy `t` with new children (same piece => same prio); the original
-// is superseded.
+// `t` with new children (same piece => same prio, so the same shape).
+// Persistent mode path-copies it; in single-version mode nothing reads the
+// old node again, so it is rewritten in place.
 Ref rebuild(const Build& b, Ref t, Ref l, Ref r) {
-  const Ref copy = make(b, l, r, t->piece);
-  b.retire(t);
-  return copy;
+  if (!b.single) return make(b, l, r, t->piece);
+  link(b, b.a.node_mut(t.index()), l, r);
+  return t;
 }
 
 Ref join(const Build& b, Ref x, Ref y) {

@@ -5,8 +5,10 @@
 /// Sarnak–Sleator–Tarjan). Phase 2 of the algorithm materializes many prefix
 /// profiles P_0 … P_n that share almost all of their structure (Figure 3 of
 /// the paper); here each profile is an immutable version (a root reference)
-/// and every update path-copies O(log) nodes, leaving all published versions
-/// readable concurrently (the CREW discipline).
+/// and every persistent update path-copies O(log) nodes, leaving all
+/// published versions readable concurrently (the CREW discipline). A
+/// single-version update (Mode::SingleVersion, below) instead rewrites the
+/// one version it is given.
 ///
 /// Keys are piece start abscissae. Priorities are *content hashes*, so the
 /// tree shape depends only on the piece set, not on operation history: runs
@@ -36,10 +38,13 @@
 /// (tests/test_treap_property.cpp pins this against a pointer-based shim).
 ///
 /// **Single-version splices (DESIGN.md section 1.9).** replace_range with
-/// `ptreap::Mode::SingleVersion` recycles every node it supersedes through
-/// the arena's free list. It builds the same nodes in the same order, so
-/// shapes, maps and counters equal a persistent run's; only the footprint
-/// shrinks, from the whole history to the live profile.
+/// `ptreap::Mode::SingleVersion` rewrites in place every node a persistent
+/// update would path-copy — same piece, so same priority and same shape —
+/// and recycles the nodes it drops through the arena's free list. Shapes,
+/// maps and every work counter except node constructions equal a
+/// persistent run's; it constructs only the leaves the splice adds (run
+/// pieces and the fragments of cut pieces), and holds only the live
+/// profile instead of the whole history.
 ///
 /// **Resolution-bounded solves (DESIGN.md section 1.12).** The treap itself
 /// has no pruning hook: under `HsrOptions::pixel_budget` the envelope layer
@@ -84,9 +89,11 @@ struct PieceData {
 /// Nil child / root sentinel for arena node indices.
 inline constexpr u32 kNilNode = 0xffffffffu;
 
-/// Immutable persistent node, indexed — not addressed — through its arena.
-/// Fields are written once at construction and never mutated after the node
-/// becomes reachable from a published version. `l`/`r` are arena indices
+/// Treap node, indexed — not addressed — through its arena. A persistent
+/// update never mutates a node once it is reachable from a published
+/// version; a single-version update rewrites `l`, `r`, `count` and the
+/// z-box of the nodes on its path in place (never `piece` or `prio`), as
+/// no other version reads them. `l`/`r` are arena indices
 /// (kNilNode = empty); keeping them 32-bit is what packs the node to 144
 /// bytes under QY's 16-byte alignment: two 48-byte QYs and an edge id pad
 /// to a 112-byte piece, and the fields after it add 28. A node on a free
@@ -103,19 +110,21 @@ struct PNode {
 // block is 2.25 MiB): restate them with it.
 static_assert(sizeof(PNode) == 144);
 
-/// Bump allocator for persistent nodes, addressed by 32-bit index.
+/// Bump allocator for treap nodes, addressed by 32-bit index.
 /// Thread-safe: each thread fills its own blocks; the arena owns all memory
 /// until destruction (versions are only valid while their arena lives).
 ///
 /// An arena is reusable across runs: reset() retains every block it ever
 /// allocated and rewinds the bump pointers, so a rebuild that fits in the
 /// prior footprint performs zero heap allocations (allocated() is the churn
-/// metric a warm HsrEngine::solve is gated on). Each thread's slot also
-/// keeps a free list of released nodes, which alloc() pops before carving
-/// a block and reset() empties. Block-table slots are
-/// assigned once per heap block and never move, so node(i) needs no lock:
-/// any index a reader holds was published to it across a fork-join edge
-/// that ordered the block-table write first.
+/// metric a warm HsrEngine::solve is gated on). Blocks are raw storage:
+/// nothing writes a node slot before it is carved, so a block's pages
+/// become resident only as nodes are carved from it. Each thread's slot
+/// also keeps a free list of released nodes, which alloc() pops before
+/// carving a block and reset() empties. Block-table slots are assigned
+/// once per heap block and never move, so node(i) needs no lock: any
+/// index a reader holds was published to it across a fork-join edge that
+/// ordered the block-table write first.
 class PArena {
  public:
   /// Nodes per block and the index split: index = block_id << kLog2BlockNodes | offset.
@@ -138,15 +147,17 @@ class PArena {
   /// poison it (count = 0), so a descent into it fails its DCHECK.
   void release(u32 idx);
 
-  /// The node at `idx` (read-only: published nodes are immutable).
+  /// The node at `idx`, read-only (a reader never writes a node; only the
+  /// update that owns a version does, through node_mut).
   const PNode& node(u32 idx) const noexcept {
     const PNode& n = table_[idx >> kLog2BlockNodes][idx & (kBlockNodes - 1)];
     THSR_DCHECK(n.count != 0);  // released nodes are unreachable
     return n;
   }
 
-  /// Construction-time access for the node most recently alloc()ed by this
-  /// thread (before its index is published to any other thread).
+  /// Write access for the update that owns the node: a node this thread
+  /// just alloc()ed (before its index is published to any other thread),
+  /// or a node of the version a single-version update rewrites.
   PNode& node_mut(u32 idx) noexcept {
     return table_[idx >> kLog2BlockNodes][idx & (kBlockNodes - 1)];
   }
@@ -174,8 +185,11 @@ class PArena {
   /// allocation-churn metric of tests/test_treap.cpp and bench_ci.
   u64 allocated() const noexcept;
 
-  /// Bytes of node storage this arena retains (blocks * block size): the
-  /// resident-footprint gauge of the timed bench lane.
+  /// Bytes of node storage this arena has reserved (blocks * block size),
+  /// counting whole blocks whether or not their pages are resident yet —
+  /// so byte budgets built on it (the engine cache, the stream's
+  /// resident_bytes_budget) stay conservative. The timed bench lane
+  /// stamps it next to each warm solve.
   u64 footprint_bytes() const noexcept;
 
  private:
@@ -193,8 +207,9 @@ class PArena {
   static u64 next_id() noexcept;
 };
 
-/// Persistent treap operations. All functions are pure with respect to their
-/// inputs: they return new roots and never mutate reachable nodes.
+/// Treap operations. They return new roots. In Mode::Persistent they never
+/// mutate a reachable node; a Mode::SingleVersion replace_range rewrites
+/// the version it is given (see Mode).
 namespace ptreap {
 
 /// A version handle: the owning arena plus a 32-bit root index. Refs are
@@ -224,11 +239,13 @@ class Ref {
 };
 
 /// What replace_range does with the nodes it supersedes.
-///  * Persistent    — keeps them: every earlier version stays readable
-///                    (phase 2 of the Parallel solve queries old versions).
+///  * Persistent    — keeps them: every node on an update path is copied,
+///                    and every earlier version stays readable (phase 2
+///                    of the Parallel solve queries old versions).
 ///  * SingleVersion — the caller never reads the input version again, so
-///                    each superseded node is released to the calling
-///                    thread's free list (the Sequential solve).
+///                    the update rewrites nodes on its path in place and
+///                    releases the ones it drops to the calling thread's
+///                    free list (the Sequential solve).
 enum class Mode { Persistent, SingleVersion };
 
 /// The initial profile P_0: just the floor.
@@ -242,8 +259,9 @@ Ref from_pieces(PArena& a, std::span<const PieceData> pieces, std::span<const Se
 /// is dropped wholesale (an O(log) split), which is where the merge's
 /// output-sensitivity comes from. O((|run| + log n) log n) node copies.
 /// With Mode::SingleVersion `t` must not be read again (nor any version
-/// sharing its nodes); the same nodes are built, and the superseded ones
-/// are released.
+/// sharing its nodes): the result has the persistent result's shape, built
+/// by rewriting t's nodes in place, and constructs only |run| leaves plus
+/// two per cut at lo or hi strictly inside a piece.
 Ref replace_range(PArena& a, Ref t, const QY& lo, const QY& hi, std::span<const PieceData> run,
                   std::span<const Seg2> segs, Mode mode = Mode::Persistent);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -152,6 +153,13 @@ void check_window(const ImageWindow& w) {
   }
 }
 
+/// A map solved from another terrain has a different edge count.
+void require_map_of(const Terrain& t, const VisibilityMap& m, const char* who) {
+  if (m.edge_slots() != t.edge_count()) {
+    throw std::invalid_argument(std::string(who) + ": the map was not solved from this terrain");
+  }
+}
+
 /// The shared engine behind rasterize / rasterize_sharded: fans output
 /// columns over the fork-join backend; every column writes a disjoint
 /// slice of the output and its own stats slot, so the image and the
@@ -285,7 +293,7 @@ std::optional<double> plane_depth(const Terrain& t, u32 tri, const QY& y, const 
 
 ImageRaster rasterize(const Terrain& t, const VisibilityMap& m, const RasterOptions& opt) {
   validate(opt);
-  THSR_CHECK(m.edge_slots() == t.edge_count());
+  require_map_of(t, m, "rasterize");
   const ImageWindow win = opt.window ? *opt.window : default_window(t);
   std::vector<ColumnSet> sets(1);
   sets[0].terrain = &t;
@@ -299,7 +307,15 @@ ImageRaster rasterize_sharded(const shard::ShardPlan& plan,
                               std::span<const VisibilityMap* const> slab_maps,
                               const RasterOptions& opt) {
   validate(opt);
-  THSR_CHECK(plan.source != nullptr && slab_maps.size() == plan.slabs.size());
+  THSR_CHECK(plan.source != nullptr);
+  if (slab_maps.size() != plan.slabs.size()) {
+    throw std::invalid_argument("rasterize_sharded: one map per slab of the plan is required");
+  }
+  for (std::size_t s = 0; s < slab_maps.size(); ++s) {
+    if (slab_maps[s] != nullptr) {
+      require_map_of(plan.slabs[s].terrain, *slab_maps[s], "rasterize_sharded");
+    }
+  }
   const ImageWindow win = opt.window ? *opt.window : default_window(*plan.source);
   // The slab owning sub-column i is the unique s with cuts[s] <= y_i <
   // cuts[s+1] (last window closed) — the shard owner rule over the sample
@@ -347,7 +363,9 @@ BandScan scan_band(const Terrain* t, const VisibilityMap* m, const std::vector<u
                    const ImageWindow& win, const RasterOptions& opt, u32 sub_lo, u32 sub_hi) {
   validate(opt);
   check_window(win);
-  THSR_CHECK(sub_lo <= sub_hi && sub_hi <= opt.width * opt.supersample);
+  if (sub_lo > sub_hi || sub_hi > opt.width * opt.supersample) {
+    throw std::invalid_argument("scan_band: [sub_lo, sub_hi) is not a band of the image");
+  }
   const u32 H = opt.height, s = opt.supersample;
   const std::size_t hs = std::size_t{H} * s;
 
@@ -358,7 +376,8 @@ BandScan scan_band(const Terrain* t, const VisibilityMap* m, const std::vector<u
   out.ids.assign(std::size_t{n} * hs, kNoTriangle);
   out.depths.assign(std::size_t{n} * hs, 0.0);
   if (t == nullptr || n == 0) return out;  // background band
-  THSR_CHECK(m != nullptr && m->edge_slots() == t->edge_count());
+  if (m == nullptr) throw std::invalid_argument("scan_band: a terrain needs its map");
+  require_map_of(*t, *m, "scan_band");
 
   const par::ScopedConfig cfg(opt.threads, opt.backend);
 

@@ -160,7 +160,8 @@ std::optional<double> plane_depth(const Terrain& t, u32 tri, const QY& y, const 
 /// O(k + W·s·(X log X + H·s)) where X is the mean number of visible
 /// crossings per column — output-sensitive in the visible scene, never
 /// in n.
-/// \throws std::invalid_argument when `opt` fails validate().
+/// \throws std::invalid_argument when `opt` fails validate() or `m` was
+///         not solved from `t` (its edge_slots() differ from t's edge count).
 ImageRaster rasterize(const Terrain& t, const VisibilityMap& m, const RasterOptions& opt = {});
 
 /// Rasterize from *unstitched* per-slab maps (`slab_maps[i]` indexed by
@@ -169,7 +170,9 @@ ImageRaster rasterize(const Terrain& t, const VisibilityMap& m, const RasterOpti
 /// own disjoint band of image columns; the result — ids translated to
 /// source-triangle ids via SlabTerrain::global_tri — is bit-identical to
 /// `rasterize` of the monolithic solve with the same options.
-/// \throws std::invalid_argument when `opt` fails validate().
+/// \throws std::invalid_argument when `opt` fails validate(), when
+///         `slab_maps` does not hold one entry per slab of `plan`, or when a
+///         non-null slab map was not solved from its slab's terrain.
 ImageRaster rasterize_sharded(const shard::ShardPlan& plan,
                               std::span<const VisibilityMap* const> slab_maps,
                               const RasterOptions& opt = {});
@@ -203,8 +206,11 @@ struct BandScan {
 /// thread counts, and — summed over any banding of the image under the
 /// same window — bit-identical to the counters and samples `rasterize`
 /// produces monolithically (tests/test_stream.cpp).
-/// \throws std::invalid_argument when `opt` fails validate() or `win`
-///         has no positive extent on both axes.
+/// \throws std::invalid_argument when `opt` fails validate(), `win`
+///         has no positive extent on both axes, sub_lo > sub_hi, the band
+///         ends beyond the image (sub_hi > width * supersample), or a
+///         non-null `t` comes without its map or with a map solved from
+///         another terrain.
 BandScan scan_band(const Terrain* t, const VisibilityMap* m, const std::vector<u32>* tri_map,
                    const ImageWindow& win, const RasterOptions& opt, u32 sub_lo, u32 sub_hi);
 

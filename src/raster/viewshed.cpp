@@ -1,16 +1,25 @@
 #include "raster/viewshed.hpp"
 
 #include <algorithm>
-
-#include "support/check.hpp"
+#include <stdexcept>
 
 namespace thsr::raster {
 
 AscGrid viewshed_grid(const Terrain& t, const VisibilityMap& m, const AscMapping& reg,
                       const ViewshedOptions& opt) {
-  THSR_CHECK(reg.rows >= 1 && reg.cols >= 1);
-  THSR_CHECK(reg.vertex.size() == std::size_t{reg.rows} * reg.cols);
-  THSR_CHECK(m.edge_slots() == t.edge_count());
+  if (reg.rows < 1 || reg.cols < 1) {
+    throw std::invalid_argument("viewshed_grid: the mapping has no rows or no columns");
+  }
+  if (reg.vertex.size() != std::size_t{reg.rows} * reg.cols) {
+    throw std::invalid_argument("viewshed_grid: the mapping needs rows * cols vertex entries");
+  }
+  if (std::any_of(reg.vertex.begin(), reg.vertex.end(),
+                  [&](u32 v) { return v != kNoAscVertex && v >= t.vertex_count(); })) {
+    throw std::invalid_argument("viewshed_grid: the mapping names a vertex the terrain lacks");
+  }
+  if (m.edge_slots() != t.edge_count()) {
+    throw std::invalid_argument("viewshed_grid: the map was not solved from this terrain");
+  }
 
   // Accumulate, per terrain vertex, the total and visible image-plane
   // length of its incident edges. Edge order is fixed, so the double

@@ -43,6 +43,9 @@ struct ViewshedOptions {
 /// ncols samples in [0, 1] (or {0, 1} in boolean mode), NODATA samples
 /// set to `opt.nodata`. O(n + k) — one pass over edges and pieces, one
 /// pass over the grid.
+/// \throws std::invalid_argument when `reg` has no rows or columns, its
+///         `vertex` table does not hold rows * cols entries or names a
+///         vertex `t` lacks, or `m` was not solved from `t`.
 AscGrid viewshed_grid(const Terrain& t, const VisibilityMap& m, const AscMapping& reg,
                       const ViewshedOptions& opt = {});
 

@@ -204,33 +204,36 @@ TEST(Engine, SolveRequiresPrepare) {
 }
 
 // Four threads share one freshly prepared engine — no warm-up solve, no
-// pre-build call. Every solve leases its own workspace and, at threads = 1,
-// counts from its own thread, so every map and counter set equals a
-// one-shot solve's.
+// pre-build call. Every solve leases its own workspace and, unless it is a
+// Parallel solve that forks, counts from its own thread, so every map and
+// counter set equals a one-shot solve's. The default algorithm at
+// threads = 4 never forks either, so it must count only its own work too.
 TEST(Engine, ConcurrentSolvesShareOnePreparedEngine) {
   const Terrain t = make(Family::Fbm, 12, 5);
-  const HsrOptions opt{.algorithm = Algorithm::Parallel, .threads = 1};
-  const HsrResult want = hidden_surface_removal(t, opt);
-  HsrEngine engine;
-  engine.prepare(t);
-  constexpr int kThreads = 4, kSolves = 25;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> callers;
-  for (int c = 0; c < kThreads; ++c) {
-    callers.emplace_back([&] {
-      for (int i = 0; i < kSolves; ++i) {
-        const HsrResult got = engine.solve(opt);
-        if (want.map.first_difference(got.map).has_value() ||
-            !(got.stats.work == want.stats.work) || got.stats.k_pieces != want.stats.k_pieces ||
-            got.stats.treap_nodes != want.stats.treap_nodes ||
-            got.stats.phase1_pieces != want.stats.phase1_pieces) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
+  for (const HsrOptions opt :
+       {HsrOptions{.algorithm = Algorithm::Parallel, .threads = 1}, HsrOptions{.threads = 4}}) {
+    const HsrResult want = hidden_surface_removal(t, opt);
+    HsrEngine engine;
+    engine.prepare(t);
+    constexpr int kThreads = 4, kSolves = 25;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kThreads; ++c) {
+      callers.emplace_back([&] {
+        for (int i = 0; i < kSolves; ++i) {
+          const HsrResult got = engine.solve(opt);
+          if (want.map.first_difference(got.map).has_value() ||
+              !(got.stats.work == want.stats.work) || got.stats.k_pieces != want.stats.k_pieces ||
+              got.stats.treap_nodes != want.stats.treap_nodes ||
+              got.stats.phase1_pieces != want.stats.phase1_pieces) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& th : callers) th.join();
+    EXPECT_EQ(mismatches.load(), 0) << algorithm_name(opt.algorithm) << " threads=" << opt.threads;
   }
-  for (std::thread& th : callers) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ScopedConfig, RestoresThreadsAndBackendOnUnwind) {

@@ -154,11 +154,15 @@ TEST(Oracle, IncrementalProfileEqualsGlobalEnvelope) {
   }
 }
 
-TEST(Oracle, StateAfterAgainstFloorIsAbove) {
+// The walk reads its initial state off the first piece it meets; on the
+// bare floor that is the floor itself, and nothing changes after it.
+TEST(Oracle, InitialStateAgainstFloorIsAbove) {
   PArena arena;
   std::vector<Seg2> segs{{-10, 5, 10, 5}};
   ptreap::Ref floor = ptreap::make_floor(arena);
-  EXPECT_EQ(state_after(floor, segs[0], QY::of(-10), segs), +1);
+  std::vector<TransitionEvent> ev;
+  EXPECT_EQ(walk_transitions(floor, segs[0], QY::of(-10), QY::of(10), segs, ev), +1);
+  EXPECT_TRUE(ev.empty());
 }
 
 TEST(Oracle, EventsOnKnownProfile) {

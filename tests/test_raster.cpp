@@ -315,6 +315,63 @@ AscGrid demo_grid(bool with_hole) {
   return g;
 }
 
+// Caller input that does not belong together — a map solved from another
+// terrain, a slab-map list of the wrong length, a band outside the image, a
+// mapping of the wrong shape — is rejected with a typed error, not abort().
+TEST(RasterLimits, RejectsMismatchedCallerInput) {
+  const Terrain t = gen(Family::Fbm, 8);
+  const Terrain other = gen(Family::Fbm, 10);
+  const HsrResult r = hidden_surface_removal(t);
+  const HsrResult foreign = hidden_surface_removal(other);
+  ASSERT_NE(foreign.map.edge_slots(), t.edge_count());
+  const RasterOptions opt{.width = 8, .height = 6};
+  EXPECT_THROW((void)raster::rasterize(t, foreign.map, opt), std::invalid_argument);
+
+  shard::ShardedEngine eng;
+  eng.prepare(t, 2);
+  const auto per = eng.solve_slabs();
+  std::vector<const VisibilityMap*> maps(per.size(), nullptr);
+  for (std::size_t s = 0; s < per.size(); ++s) {
+    if (per[s]) maps[s] = &per[s]->map;
+  }
+  EXPECT_NO_THROW((void)raster::rasterize_sharded(eng.plan(), maps, opt));
+  const std::span<const VisibilityMap* const> all(maps);
+  EXPECT_THROW((void)raster::rasterize_sharded(eng.plan(), all.first(all.size() - 1), opt),
+               std::invalid_argument);
+  std::vector<const VisibilityMap*> swapped = maps;
+  swapped[0] = &foreign.map;
+  EXPECT_THROW((void)raster::rasterize_sharded(eng.plan(), swapped, opt), std::invalid_argument);
+
+  const raster::ImageWindow win = raster::default_window(t);
+  EXPECT_NO_THROW((void)raster::scan_band(&t, &r.map, nullptr, win, opt, 0, opt.width));
+  EXPECT_THROW((void)raster::scan_band(&t, &r.map, nullptr, win, opt, 5, 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)raster::scan_band(&t, &r.map, nullptr, win, opt, 0, opt.width + 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)raster::scan_band(&t, &foreign.map, nullptr, win, opt, 0, 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)raster::scan_band(&t, nullptr, nullptr, win, opt, 0, 4),
+               std::invalid_argument);
+
+  AscMapping reg;
+  const Terrain dem = terrain_from_asc(demo_grid(/*with_hole=*/false), {}, &reg);
+  const HsrResult rd = hidden_surface_removal(dem);
+  EXPECT_NO_THROW((void)raster::viewshed_grid(dem, rd.map, reg));
+  EXPECT_THROW((void)raster::viewshed_grid(dem, r.map, reg), std::invalid_argument);
+  AscMapping bad = reg;
+  bad.rows = 0;
+  EXPECT_THROW((void)raster::viewshed_grid(dem, rd.map, bad), std::invalid_argument);
+  bad = reg;
+  bad.cols = 0;
+  EXPECT_THROW((void)raster::viewshed_grid(dem, rd.map, bad), std::invalid_argument);
+  bad = reg;
+  bad.vertex.pop_back();
+  EXPECT_THROW((void)raster::viewshed_grid(dem, rd.map, bad), std::invalid_argument);
+  bad = reg;
+  bad.vertex[0] = static_cast<u32>(dem.vertex_count());
+  EXPECT_THROW((void)raster::viewshed_grid(dem, rd.map, bad), std::invalid_argument);
+}
+
 TEST(Viewshed, NodataPropagatesAndGeoreferencingMatches) {
   const AscGrid g = demo_grid(/*with_hole=*/true);
   AscMapping reg;
